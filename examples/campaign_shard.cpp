@@ -1,24 +1,23 @@
 /**
  * @file
  * Sharded, resumable fault-injection campaigns with JSON results —
- * the distributed front-end of FaultCampaign (used by CI's campaign
- * smoke check and by multi-machine sweeps).
+ * the batch front-end of FaultCampaign (used by CI's campaign smoke
+ * checks and by multi-machine sweeps).
  *
- *   campaign_shard run    --out s0.json [--shard 0/2] [--checkpoint c.json]
- *                         [--mesh N] [--sites N] [--rate R] [--seed S]
- *                         [--warmup N] [--jobs N] [--limit N] [--progress]
- *                         [--checkpoint-every N] [--kind K] [--recovery]
- *                         [--sample] [--ci-width W] [--max-runs N]
- *                         [--batch N] [--confidence C] [--stratify MODE]
- *                         [--ci-method M] [--cycle-jitter N] [--seeds N]
- *                         [--sampler-seed S]
- *                         [--phases PROG] [--burst SPEC] [--phase-repeat]
- *                         [--trace-replay FILE]
+ *   campaign_shard run    --out s0.json [--checkpoint c.json]
+ *                         [--checkpoint-every N] [--jobs N] [--limit N]
+ *                         [--progress] [campaign flags]
  *   campaign_shard resume --checkpoint c.json [--out s0.json] [--jobs N]
  *                         [--progress]
  *   campaign_shard merge  --out merged.json s0.json s1.json ...
  *   campaign_shard verify a.json b.json
+ *   campaign_shard report a.json [--csv FILE]
  *   campaign_shard help
+ *
+ * The campaign flags (--mesh, --sites, --rate, --seed, --warmup,
+ * --kind, --recovery, --dense-kernel, --shard, the --sample family and
+ * the workload backends) and their defaults come from fault/flags.hpp;
+ * `campaign_shard help` lists them.
  *
  * `run` executes one shard (default 0/1, i.e. the whole campaign) and
  * writes the result JSON; the checkpoint (default: the --out file)
@@ -42,25 +41,28 @@
  * bit-identical to an unsharded run. `verify` checks that two result
  * files describe the same campaign with identical runs and summaries
  * (including, for sampled results, identical per-stratum estimates)
- * and that neither contains a NoCAlert false negative.
+ * and that neither contains a NoCAlert false negative. `report`
+ * prints a result file's classification table (the paper's Section
+ * 5.4 breakdown) and, with --csv, exports one row per run.
  *
  * Exit status: 0 success; 1 verify mismatch (or other fatal error);
- * 2 usage error; 3 verify input file missing; 4 verify input file
- * corrupt (unparseable or failing validation); 130 interrupted by
- * SIGINT (checkpoint flushed, resumable).
+ * 2 usage error; 3 verify/report input file missing; 4 verify/report
+ * input file corrupt (unparseable or failing validation); 130
+ * interrupted by SIGINT (checkpoint flushed, resumable).
  */
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "exec/cancel.hpp"
 #include "exec/telemetry.hpp"
 #include "fault/campaign.hpp"
+#include "fault/flags.hpp"
 #include "fault/report.hpp"
 #include "fault/serialize.hpp"
-#include "traffic/workload.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 
@@ -81,47 +83,36 @@ printHelp(std::FILE *to)
 {
     std::fprintf(
         to,
-        "usage: campaign_shard <run|resume|merge|verify|help> [options]\n"
+        "usage: campaign_shard <run|resume|merge|verify|report|help> "
+        "[options]\n"
         "\n"
-        "  run    --out FILE [--shard i/N] [--checkpoint FILE]\n"
-        "         [--mesh N] [--sites N] [--rate R] [--seed S]\n"
-        "         [--warmup N] [--jobs N] [--limit N] [--progress]\n"
-        "         [--checkpoint-every N] [--kind K] [--dense-kernel]\n"
-        "         [--recovery]\n"
-        "         [--sample] [--ci-width W] [--max-runs N] [--batch N]\n"
-        "         [--confidence C] [--stratify none|signal-class|phase]\n"
-        "         [--ci-method wilson|clopper-pearson]\n"
-        "         [--cycle-jitter N] [--seeds N] [--sampler-seed S]\n"
-        "         [--phases PROG] [--burst SPEC] [--phase-repeat]\n"
-        "         [--trace-replay FILE]\n"
+        "  run    --out FILE [--checkpoint FILE] [--checkpoint-every N]\n"
+        "         [--jobs N] [--limit N] [--progress] [campaign flags]\n"
         "             execute one shard; --jobs 0 uses all hardware\n"
         "             threads (results are byte-identical for every\n"
         "             --jobs value); Ctrl-C flushes a resumable\n"
-        "             checkpoint. --sample draws stratified random\n"
-        "             (site, cycle, seed) tuples until every stratum's\n"
-        "             interval half-width is below --ci-width or\n"
-        "             --max-runs is spent (0 = no cap; at least one of\n"
-        "             the two must bound the campaign)\n"
-        "             --phases \"b:e:pattern:rate[,...]\" runs a phase\n"
-        "             program instead of stationary traffic; --burst\n"
-        "             \"period:onProb:onMult:offMult[:layers]\" adds\n"
-        "             on/off modulation; --trace-replay FILE replays a\n"
-        "             recorded injection trace; --stratify phase bins\n"
-        "             injection cycles by phase segment\n"
+        "             checkpoint\n"
         "  resume --checkpoint FILE [--out FILE] [--jobs N] [--progress]\n"
         "             finish a shard from its checkpoint\n"
         "  merge  --out FILE s0.json s1.json ...\n"
         "             recombine a complete set of shards\n"
         "  verify a.json b.json\n"
         "             compare two result files run-by-run\n"
+        "  report FILE [--csv FILE]\n"
+        "             print a result file's classification table;\n"
+        "             --csv writes one row per run\n"
+        "\n");
+    std::fputs(fault::campaignFlagHelp().c_str(), to);
+    std::fprintf(
+        to,
         "\n"
         "exit status:\n"
         "  0    success\n"
         "  1    verify mismatch, or any other fatal error\n"
         "  2    usage error\n"
-        "  3    verify: an input file does not exist\n"
-        "  4    verify: an input file is corrupt (unparseable JSON or\n"
-        "       failed schema/consistency validation)\n"
+        "  3    verify/report: an input file does not exist\n"
+        "  4    verify/report: an input file is corrupt (unparseable\n"
+        "       JSON or failed schema/consistency validation)\n"
         "  130  interrupted by SIGINT; the checkpoint was flushed and\n"
         "       the shard is resumable\n");
 }
@@ -131,22 +122,6 @@ usage()
 {
     printHelp(stderr);
     return kExitUsage;
-}
-
-void
-parseShardSelector(const std::string &selector, fault::CampaignConfig &config)
-{
-    const std::size_t slash = selector.find('/');
-    if (slash == std::string::npos)
-        NOCALERT_FATAL("--shard expects i/N, got '", selector, "'");
-    try {
-        config.shardIndex =
-            static_cast<unsigned>(std::stoul(selector.substr(0, slash)));
-        config.shardCount =
-            static_cast<unsigned>(std::stoul(selector.substr(slash + 1)));
-    } catch (...) {
-        NOCALERT_FATAL("--shard expects i/N, got '", selector, "'");
-    }
 }
 
 void
@@ -214,99 +189,19 @@ int
 cmdRun(int argc, char **argv)
 {
     CommandLine cli(argc, argv,
-                    {"out", "shard", "checkpoint", "checkpoint-every",
-                     "mesh", "sites", "rate", "seed", "warmup", "jobs",
-                     "limit", "progress", "dense-kernel", "kind",
-                     "recovery", "sample", "ci-width", "max-runs",
-                     "batch", "confidence", "stratify", "ci-method",
-                     "cycle-jitter", "seeds", "sampler-seed", "phases",
-                     "burst", "phase-repeat", "trace-replay"});
+                    fault::campaignFlags({"out", "checkpoint",
+                                          "checkpoint-every", "jobs",
+                                          "limit", "progress"}));
 
-    fault::CampaignConfig config;
-    config.network.width = static_cast<int>(cli.getInt("mesh", 4));
-    config.network.height = config.network.width;
-    if (cli.has("phases") && cli.has("trace-replay"))
-        NOCALERT_FATAL("--phases and --trace-replay are mutually "
-                       "exclusive");
-    if (cli.has("phases")) {
-        config.workload.kind = traffic::WorkloadKind::Phased;
-        std::string error = traffic::parsePhaseProgram(
-            cli.getString("phases", ""), config.workload.phased);
-        if (!error.empty())
-            NOCALERT_FATAL("bad --phases: ", error);
-        if (cli.has("burst")) {
-            error = traffic::parseBurstSpec(cli.getString("burst", ""),
-                                            config.workload.phased.burst);
-            if (!error.empty())
-                NOCALERT_FATAL("bad --burst: ", error);
-        }
-        config.workload.phased.repeat =
-            cli.getBool("phase-repeat", false);
-    } else if (cli.has("trace-replay")) {
-        config.workload.kind = traffic::WorkloadKind::Trace;
-        config.workload.trace.path = cli.getString("trace-replay", "");
-        std::string error;
-        if (!traffic::stampTraceSpec(config.workload.trace, &error))
-            NOCALERT_FATAL("bad --trace-replay: ", error);
-    }
-    config.workload.synthetic.injectionRate = cli.getDouble("rate", 0.05);
-    config.workload.setSeed(
-        static_cast<std::uint64_t>(cli.getInt("seed", 3)));
-    config.warmup = cli.getInt("warmup", 200);
-    config.maxSites = static_cast<unsigned>(cli.getInt("sites", 120));
-    config.jobs = static_cast<unsigned>(cli.getInt("jobs", 0));
-    config.denseKernel = cli.getBool("dense-kernel", false);
-    config.recovery = cli.getBool("recovery", false);
-    const std::string kind = cli.getString("kind", "transient");
-    if (auto k = fault::faultKindFromName(kind))
-        config.kind = *k;
-    else
-        NOCALERT_FATAL("unknown fault kind '", kind, "'");
-    parseShardSelector(cli.getString("shard", "0/1"), config);
-
-    if (cli.getBool("sample", false)) {
-        fault::SamplingSpec &sampling = config.sampling;
-        sampling.enabled = true;
-        sampling.ciHalfWidth = cli.getDouble("ci-width", 0.05);
-        sampling.maxRuns =
-            static_cast<std::uint64_t>(cli.getInt("max-runs", 0));
-        sampling.batchSize =
-            static_cast<unsigned>(cli.getInt("batch", 64));
-        sampling.confidence = cli.getDouble("confidence", 0.95);
-        sampling.cycleJitter = cli.getInt("cycle-jitter", 0);
-        sampling.seedCount =
-            static_cast<unsigned>(cli.getInt("seeds", 1));
-        sampling.samplerSeed =
-            static_cast<std::uint64_t>(cli.getInt("sampler-seed", 1));
-        const std::string stratify =
-            cli.getString("stratify", "signal-class");
-        if (auto mode = fault::stratifyFromName(stratify))
-            sampling.stratify = *mode;
-        else
-            NOCALERT_FATAL("unknown stratification '", stratify,
-                           "' (none|signal-class|phase)");
-        const std::string method = cli.getString("ci-method", "wilson");
-        if (auto m = stats::intervalMethodFromName(method))
-            sampling.method = *m;
-        else
-            NOCALERT_FATAL("unknown interval method '", method,
-                           "' (wilson|clopper-pearson)");
-        // The planner's budget guard would catch this too, but only
-        // after the FaultCampaign constructor; fail at flag level
-        // with flag names the user can act on.
-        if (sampling.ciHalfWidth <= 0 && sampling.maxRuns == 0)
-            NOCALERT_FATAL("--sample needs --ci-width > 0 or "
-                           "--max-runs > 0 to bound the campaign");
-    }
-
+    fault::CampaignConfig config = fault::campaignConfigFromFlags(cli);
+    config.jobs = cli.getUnsigned("jobs", 0);
     const std::string out = cli.getString("out", "campaign.json");
     config.checkpointPath = cli.getString("checkpoint", out);
-    config.checkpointEvery = static_cast<unsigned>(
-        cli.getInt("checkpoint-every", config.checkpointEvery));
+    config.checkpointEvery =
+        cli.getUnsigned("checkpoint-every", config.checkpointEvery);
 
     fault::FaultCampaign::RunOptions options;
-    options.maxNewRuns =
-        static_cast<std::size_t>(cli.getInt("limit", 0));
+    options.maxNewRuns = cli.getUnsigned("limit", 0);
 
     if (config.sampling.enabled) {
         std::printf("running sampled campaign (mesh %dx%d, "
@@ -359,7 +254,7 @@ cmdResume(int argc, char **argv)
     // invocation supplies its own jobs count and checkpoint path.
     fault::CampaignConfig config = loaded->config;
     config.checkpointPath = checkpoint;
-    config.jobs = static_cast<unsigned>(cli.getInt("jobs", 0));
+    config.jobs = cli.getUnsigned("jobs", 0);
 
     const std::string out = cli.getString("out", checkpoint);
     std::printf("resuming shard %u/%u from %s\n", config.shardIndex,
@@ -393,12 +288,12 @@ cmdMerge(int argc, char **argv)
 }
 
 /**
- * Load a verify input, distinguishing "file does not exist" (exit 3)
- * from "exists but is corrupt" (exit 4) — a missing shard and a
- * damaged shard call for different operator responses.
+ * Load a verify or report input, distinguishing "file does not exist"
+ * (exit 3) from "exists but is corrupt" (exit 4) — a missing shard
+ * and a damaged shard call for different operator responses.
  */
 fault::CampaignResult
-loadVerifyInputOrExit(const std::string &path)
+loadInputOrExit(const std::string &path)
 {
     if (!std::filesystem::exists(path)) {
         std::fprintf(stderr, "error: '%s' does not exist\n",
@@ -426,9 +321,9 @@ cmdVerify(int argc, char **argv)
     }
 
     const fault::CampaignResult a =
-        loadVerifyInputOrExit(cli.positionals()[0]);
+        loadInputOrExit(cli.positionals()[0]);
     const fault::CampaignResult b =
-        loadVerifyInputOrExit(cli.positionals()[1]);
+        loadInputOrExit(cli.positionals()[1]);
 
     int failures = 0;
     auto check = [&](bool ok, const char *what) {
@@ -486,6 +381,31 @@ cmdVerify(int argc, char **argv)
     return kExitOk;
 }
 
+int
+cmdReport(int argc, char **argv)
+{
+    CommandLine cli(argc, argv, {"csv"}, /*allow_positionals=*/true);
+    if (cli.positionals().size() != 1) {
+        std::fprintf(stderr,
+                     "usage: campaign_shard report FILE [--csv FILE]\n");
+        return kExitUsage;
+    }
+
+    const fault::CampaignResult result =
+        loadInputOrExit(cli.positionals()[0]);
+    std::printf("%s", fault::summaryText(result).c_str());
+    if (cli.has("csv")) {
+        const std::string path = cli.getString("csv", "");
+        std::ofstream file(path);
+        fault::writeCampaignCsv(result, file);
+        file.close();
+        if (!file)
+            NOCALERT_FATAL("cannot write '", path, "'");
+        std::printf("per-run records written to %s\n", path.c_str());
+    }
+    return kExitOk;
+}
+
 } // namespace
 
 int
@@ -509,5 +429,7 @@ main(int argc, char **argv)
         return cmdMerge(argc, argv);
     if (command == "verify")
         return cmdVerify(argc, argv);
+    if (command == "report")
+        return cmdReport(argc, argv);
     return usage();
 }

@@ -14,11 +14,12 @@
  *   nocalert_client shutdown --socket PATH
  *   nocalert_client help
  *
- * `submit` accepts the same campaign flags with the same defaults as
- * `campaign_shard run` (--mesh, --sites, --rate, --seed, --warmup,
- * --kind, --recovery, --dense-kernel, --shard, and the --sample
- * family), so submitting with the flags of a batch invocation yields a
- * served artifact byte-identical to that invocation's output file.
+ * `submit` parses the same campaign flags with the same defaults as
+ * `campaign_shard run` (fault/flags.hpp: --mesh, --sites, --rate,
+ * --seed, --warmup, --kind, --recovery, --dense-kernel, --shard, the
+ * --sample family and the workload backends), so submitting with the
+ * flags of a batch invocation yields a served artifact byte-identical
+ * to that invocation's output file.
  * `--spec FILE` instead reads a serialized campaign config (e.g. the
  * `config` block of an artifact). `--wait` stays connected, streams
  * telemetry to stderr until the campaign finishes, then fetches the
@@ -55,6 +56,7 @@
 #include <thread>
 
 #include "fault/campaign.hpp"
+#include "fault/flags.hpp"
 #include "fault/serialize.hpp"
 #include "serve/protocol.hpp"
 #include "util/cli.hpp"
@@ -77,13 +79,9 @@ printHelp(std::FILE *to)
         "usage: nocalert_client <command> --socket PATH [options]\n"
         "\n"
         "  ping                  liveness probe\n"
-        "  submit [flags]        submit a campaign; same campaign\n"
-        "                        flags and defaults as campaign_shard\n"
-        "                        run (--mesh --sites --rate --seed\n"
-        "                        --warmup --kind --recovery\n"
-        "                        --dense-kernel --shard i/N and the\n"
-        "                        --sample family), or --spec FILE with\n"
-        "                        a serialized config\n"
+        "  submit [flags]        submit a campaign; the campaign flags\n"
+        "                        below, as for campaign_shard run, or\n"
+        "                        --spec FILE with a serialized config\n"
         "         --wait         stream progress until finished, then\n"
         "                        fetch the artifact (--out FILE or\n"
         "                        stdout); attached: killing the client\n"
@@ -103,7 +101,9 @@ printHelp(std::FILE *to)
         "                        connect failure or mid-exchange drop\n"
         "                        (default 0: fail fast)\n"
         "  --retry-base-ms MS    first backoff; doubles per attempt,\n"
-        "                        jittered, capped at 5 s (default 100)\n");
+        "                        jittered, capped at 5 s (default 100)\n"
+        "\n");
+    std::fputs(fault::campaignFlagHelp().c_str(), to);
 }
 
 /** Blocking NDJSON connection to the daemon. */
@@ -308,68 +308,6 @@ makeIdRequest(const char *type, const std::string &id)
     return json;
 }
 
-/** Build a campaign config from `campaign_shard run`-style flags. */
-fault::CampaignConfig
-configFromFlags(const CommandLine &cli)
-{
-    fault::CampaignConfig config;
-    config.network.width = static_cast<int>(cli.getInt("mesh", 4));
-    config.network.height = config.network.width;
-    config.workload.synthetic.injectionRate = cli.getDouble("rate", 0.05);
-    config.workload.synthetic.seed =
-        static_cast<std::uint64_t>(cli.getInt("seed", 3));
-    config.warmup = cli.getInt("warmup", 200);
-    config.maxSites = static_cast<unsigned>(cli.getInt("sites", 120));
-    config.denseKernel = cli.getBool("dense-kernel", false);
-    config.recovery = cli.getBool("recovery", false);
-    const std::string kind = cli.getString("kind", "transient");
-    if (auto k = fault::faultKindFromName(kind))
-        config.kind = *k;
-    else
-        NOCALERT_FATAL("unknown fault kind '", kind, "'");
-
-    const std::string shard = cli.getString("shard", "0/1");
-    const std::size_t slash = shard.find('/');
-    if (slash == std::string::npos)
-        NOCALERT_FATAL("--shard expects i/N, got '", shard, "'");
-    try {
-        config.shardIndex = static_cast<unsigned>(
-            std::stoul(shard.substr(0, slash)));
-        config.shardCount = static_cast<unsigned>(
-            std::stoul(shard.substr(slash + 1)));
-    } catch (...) {
-        NOCALERT_FATAL("--shard expects i/N, got '", shard, "'");
-    }
-
-    if (cli.getBool("sample", false)) {
-        fault::SamplingSpec &sampling = config.sampling;
-        sampling.enabled = true;
-        sampling.ciHalfWidth = cli.getDouble("ci-width", 0.05);
-        sampling.maxRuns =
-            static_cast<std::uint64_t>(cli.getInt("max-runs", 0));
-        sampling.batchSize =
-            static_cast<unsigned>(cli.getInt("batch", 64));
-        sampling.confidence = cli.getDouble("confidence", 0.95);
-        sampling.cycleJitter = cli.getInt("cycle-jitter", 0);
-        sampling.seedCount =
-            static_cast<unsigned>(cli.getInt("seeds", 1));
-        sampling.samplerSeed =
-            static_cast<std::uint64_t>(cli.getInt("sampler-seed", 1));
-        const std::string stratify =
-            cli.getString("stratify", "signal-class");
-        if (auto mode = fault::stratifyFromName(stratify))
-            sampling.stratify = *mode;
-        else
-            NOCALERT_FATAL("unknown stratification '", stratify, "'");
-        const std::string method = cli.getString("ci-method", "wilson");
-        if (auto m = stats::intervalMethodFromName(method))
-            sampling.method = *m;
-        else
-            NOCALERT_FATAL("unknown interval method '", method, "'");
-    }
-    return config;
-}
-
 void
 printStatusLine(const JsonValue &response)
 {
@@ -469,7 +407,7 @@ cmdSubmit(ServiceLink &link, const CommandLine &cli)
             NOCALERT_FATAL("spec '", spec_path, "': ", config_error);
         config = *parsed;
     } else {
-        config = configFromFlags(cli);
+        config = fault::campaignConfigFromFlags(cli);
     }
 
     const bool wait = cli.getBool("wait", false);
@@ -597,14 +535,11 @@ main(int argc, char **argv)
         return kExitOk;
     }
 
-    const CommandLine cli(
-        argc - 1, argv + 1,
-        {"socket", "out", "spec", "wait", "detach", "mesh", "sites",
-         "rate", "seed", "warmup", "kind", "recovery", "dense-kernel",
-         "shard", "sample", "ci-width", "max-runs", "batch",
-         "confidence", "stratify", "ci-method", "cycle-jitter", "seeds",
-         "sampler-seed", "retries", "retry-base-ms"},
-        /*allow_positionals=*/true);
+    const CommandLine cli(argc - 1, argv + 1,
+                          fault::campaignFlags({"socket", "out", "spec",
+                                                "wait", "detach", "retries",
+                                                "retry-base-ms"}),
+                          /*allow_positionals=*/true);
 
     const std::string socket_path = cli.getString("socket", "");
     if (socket_path.empty()) {
@@ -616,10 +551,8 @@ main(int argc, char **argv)
 
     ServiceLink link;
     link.path = socket_path;
-    link.policy.retries =
-        static_cast<unsigned>(cli.getInt("retries", 0));
-    link.policy.baseMs =
-        static_cast<unsigned>(cli.getInt("retry-base-ms", 100));
+    link.policy.retries = cli.getUnsigned("retries", 0);
+    link.policy.baseMs = cli.getUnsigned("retry-base-ms", 100);
     std::string error;
     if (!connectWithRetry(link, &error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());

@@ -14,8 +14,8 @@
  * line); `nocalert_client help` documents the client side. Concurrent
  * campaigns advance round-robin, one batch quantum per turn, so a
  * small interactive campaign is never starved behind a large one.
- * Served artifacts are byte-identical to what the batch CLIs
- * (fault_campaign, campaign_shard) write for the same spec — the
+ * Served artifacts are byte-identical to what the batch CLI
+ * (campaign_shard run) writes for the same spec — the
  * cache directory can be inspected, diffed, and reused across daemon
  * restarts.
  *

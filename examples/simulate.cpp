@@ -25,6 +25,7 @@
 #include <string>
 
 #include "core/nocalert.hpp"
+#include "fault/flags.hpp"
 #include "fault/injector.hpp"
 #include "noc/network.hpp"
 #include "noc/trace.hpp"
@@ -127,12 +128,12 @@ int
 main(int argc, char **argv)
 {
     CommandLine cli(argc, argv,
-                    {"mesh", "width", "height", "vcs", "depth",
-                     "routing", "pattern", "rate", "cycles", "seed",
-                     "fault", "kind", "trace", "non-atomic",
-                     "speculative", "dense-kernel", "kernel",
-                     "phases", "burst", "phase-repeat", "trace-replay",
-                     "record-trace"});
+                    fault::workloadFlags(
+                        {"mesh", "width", "height", "vcs", "depth",
+                         "routing", "pattern", "rate", "cycles", "seed",
+                         "fault", "kind", "trace", "non-atomic",
+                         "speculative", "dense-kernel", "kernel",
+                         "record-trace"}));
 
     noc::NetworkConfig config;
     config.width = static_cast<int>(
@@ -152,33 +153,8 @@ main(int argc, char **argv)
     const noc::Cycle cycles = cli.getInt("cycles", 5000);
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 1));
 
-    if (cli.has("phases") && cli.has("trace-replay"))
-        NOCALERT_FATAL("--phases and --trace-replay are mutually "
-                       "exclusive");
-    if (cli.has("burst") && !cli.has("phases"))
-        NOCALERT_FATAL("--burst requires a --phases program");
-
     traffic::WorkloadSpec workload;
-    if (cli.has("phases")) {
-        workload.kind = traffic::WorkloadKind::Phased;
-        std::string error = traffic::parsePhaseProgram(
-            cli.getString("phases", ""), workload.phased);
-        if (!error.empty())
-            NOCALERT_FATAL("bad --phases: ", error);
-        if (cli.has("burst")) {
-            error = traffic::parseBurstSpec(cli.getString("burst", ""),
-                                            workload.phased.burst);
-            if (!error.empty())
-                NOCALERT_FATAL("bad --burst: ", error);
-        }
-        workload.phased.repeat = cli.getBool("phase-repeat", false);
-    } else if (cli.has("trace-replay")) {
-        workload.kind = traffic::WorkloadKind::Trace;
-        workload.trace.path = cli.getString("trace-replay", "");
-        std::string error;
-        if (!traffic::stampTraceSpec(workload.trace, &error))
-            NOCALERT_FATAL("bad --trace-replay: ", error);
-    } else {
+    if (!fault::workloadFromFlags(cli, workload)) {
         noc::TrafficSpec traffic;
         traffic.pattern =
             parsePattern(cli.getString("pattern", "uniform"));

@@ -91,8 +91,17 @@ summaryText(const CampaignResult &result)
     if (!summary.detectionLatency.empty()) {
         os << "NoCAlert latency: same-cycle "
            << Table::pct(100.0 * summary.detectionLatency.cdfAt(0), 1)
+           << ", p99 " << summary.detectionLatency.percentile(0.99)
            << ", max " << summary.detectionLatency.max()
            << " cycles\n";
+    }
+    const auto fn = static_cast<unsigned>(Outcome::FalseNegative);
+    os << "false negatives (must be 0): " << summary.nocalert[fn] << "\n";
+    if (result.config.recovery) {
+        const auto recovered =
+            static_cast<unsigned>(Outcome::DetectedRecovered);
+        os << "detected-recovered: " << summary.nocalert[recovered]
+           << " of " << summary.runs << " runs\n";
     }
 
     os << samplingText(result);

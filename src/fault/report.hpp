@@ -24,7 +24,11 @@ namespace nocalert::fault {
  */
 void writeCampaignCsv(const CampaignResult &result, std::ostream &os);
 
-/** Render the summary (outcome matrix + latency stats) as text. */
+/**
+ * Render the summary as text: the outcome matrix, NoCAlert latency
+ * (same-cycle share, p99, max), the false-negative count, and for
+ * recovery campaigns the detected-recovered count.
+ */
 std::string summaryText(const CampaignResult &result);
 
 /**

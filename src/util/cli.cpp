@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 #include "util/log.hpp"
 
@@ -73,11 +74,31 @@ CommandLine::getInt(const std::string &name, std::int64_t fallback) const
     if (it == values_.end())
         return fallback;
     try {
-        return std::stoll(it->second);
+        std::size_t used = 0;
+        const std::int64_t value = std::stoll(it->second, &used);
+        if (used == it->second.size())
+            return value;
     } catch (...) {
-        NOCALERT_FATAL("flag --", name, " expects an integer, got '",
-                       it->second, "'");
     }
+    NOCALERT_FATAL("flag --", name, " expects an integer, got '",
+                   it->second, "'");
+}
+
+unsigned
+CommandLine::getUnsigned(const std::string &name, unsigned fallback) const
+{
+    auto it = values_.find(name);
+    if (it == values_.end())
+        return fallback;
+    // from_chars rejects a sign, where stoul would wrap "-1".
+    const std::string &text = it->second;
+    unsigned value = 0;
+    const auto [end, error] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (error == std::errc() && end == text.data() + text.size())
+        return value;
+    NOCALERT_FATAL("flag --", name, " expects a non-negative integer, got '",
+                   text, "'");
 }
 
 double
@@ -87,11 +108,14 @@ CommandLine::getDouble(const std::string &name, double fallback) const
     if (it == values_.end())
         return fallback;
     try {
-        return std::stod(it->second);
+        std::size_t used = 0;
+        const double value = std::stod(it->second, &used);
+        if (used == it->second.size())
+            return value;
     } catch (...) {
-        NOCALERT_FATAL("flag --", name, " expects a number, got '",
-                       it->second, "'");
     }
+    NOCALERT_FATAL("flag --", name, " expects a number, got '",
+                   it->second, "'");
 }
 
 bool

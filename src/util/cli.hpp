@@ -40,10 +40,24 @@ class CommandLine
     std::string getString(const std::string &name,
                           const std::string &fallback) const;
 
-    /** Integer value of a flag, or @p fallback when absent. */
+    /**
+     * Integer value of a flag, or @p fallback when absent. The whole
+     * value must parse ("2x" is fatal, not 2).
+     */
     std::int64_t getInt(const std::string &name, std::int64_t fallback) const;
 
-    /** Double value of a flag, or @p fallback when absent. */
+    /**
+     * Count value of a flag (sites, jobs, budgets), or @p fallback
+     * when absent: a non-negative integer that fits in unsigned.
+     * Anything else is fatal and names the flag, so "-1" can never
+     * wrap into a huge count.
+     */
+    unsigned getUnsigned(const std::string &name, unsigned fallback) const;
+
+    /**
+     * Double value of a flag, or @p fallback when absent. The whole
+     * value must parse ("0.05abc" is fatal, not 0.05).
+     */
     double getDouble(const std::string &name, double fallback) const;
 
     /** Boolean switch: present without value, or =true/=false. */

@@ -1,15 +1,16 @@
 /**
  * End-to-end tests for the campaign_shard CLI, focused on the verify
- * subcommand's exit-code contract:
+ * and report subcommands' exit-code contract:
  *
- *   0  verify passed / help requested
+ *   0  verify passed / report printed / help requested
  *   1  verify mismatch
  *   2  usage error
  *   3  an input file does not exist
  *   4  an input file is corrupt
  *
  * The binary path arrives via the NOCALERT_SHARD_BIN compile
- * definition ($<TARGET_FILE:campaign_shard>).
+ * definition ($<TARGET_FILE:campaign_shard>), the committed reference
+ * artifacts via NOCALERT_TEST_DATA.
  */
 
 #include "fault/campaign.hpp"
@@ -20,6 +21,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +29,9 @@
 
 #ifndef NOCALERT_SHARD_BIN
 #error "NOCALERT_SHARD_BIN must point at the campaign_shard binary"
+#endif
+#ifndef NOCALERT_TEST_DATA
+#error "NOCALERT_TEST_DATA must point at tests/data"
 #endif
 
 namespace nocalert::fault {
@@ -44,6 +49,27 @@ shardExit(const std::string &arguments)
     EXPECT_NE(raw, -1);
     return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
+
+/** Run the shard CLI; return its exit status, stdout + stderr into
+ *  @p output. */
+int
+shardExit(const std::string &arguments, std::string &output)
+{
+    const std::string command =
+        std::string(NOCALERT_SHARD_BIN) + " " + arguments + " 2>&1";
+    std::FILE *pipe = ::popen(command.c_str(), "r");
+    if (pipe == nullptr)
+        return -1;
+    char buffer[512];
+    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr)
+        output += buffer;
+    const int raw = ::pclose(pipe);
+    return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+/** The committed 4x4 exhaustive campaign (16 runs, CI's reference). */
+const std::string kExhaustive =
+    NOCALERT_TEST_DATA "/campaign_4x4_exhaustive.json";
 
 class ShardCli : public ::testing::Test
 {
@@ -200,6 +226,43 @@ TEST_F(ShardCli, VerifyCorruptFileExitsFour)
     const std::string wrong_shape = path("wrong.json");
     std::ofstream(wrong_shape) << "{\"hello\": \"world\"}\n";
     EXPECT_EQ(shardExit("verify " + a + " " + wrong_shape), 4);
+}
+
+TEST_F(ShardCli, ReportPrintsTheClassificationTable)
+{
+    std::string text;
+    ASSERT_EQ(shardExit("report " + kExhaustive, text), 0) << text;
+    EXPECT_NE(text.find("| detector"), std::string::npos) << text;
+    EXPECT_NE(text.find("| NoCAlert Cautious"), std::string::npos);
+    EXPECT_NE(text.find("campaign: 16 runs"), std::string::npos);
+    EXPECT_NE(text.find("false negatives (must be 0): 0\n"),
+              std::string::npos)
+        << text;
+}
+
+TEST_F(ShardCli, ReportCsvHasAHeaderAndOneRowPerRun)
+{
+    const std::string csv = path("runs.csv");
+    ASSERT_EQ(shardExit("report " + kExhaustive + " --csv " + csv), 0);
+
+    std::ifstream file(csv);
+    std::string line;
+    ASSERT_TRUE(std::getline(file, line));
+    EXPECT_EQ(line.rfind("router,signal,port,", 0), 0u) << line;
+    std::size_t rows = 0;
+    while (std::getline(file, line))
+        ++rows;
+    EXPECT_EQ(rows, 16u);
+}
+
+TEST_F(ShardCli, ReportExitCodesMatchVerify)
+{
+    EXPECT_EQ(shardExit("report"), 2);
+    EXPECT_EQ(shardExit("report " + kExhaustive + " " + kExhaustive), 2);
+    EXPECT_EQ(shardExit("report " + path("absent.json")), 3);
+    const std::string garbage = path("garbage.json");
+    std::ofstream(garbage) << "this is not json {";
+    EXPECT_EQ(shardExit("report " + garbage), 4);
 }
 
 TEST_F(ShardCli, SampledRunRoundTripsThroughVerify)

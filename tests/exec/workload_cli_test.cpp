@@ -131,6 +131,31 @@ TEST_F(WorkloadCli, BurstWithoutPhasesIsRejected)
     EXPECT_NE(out.status, 0);
     EXPECT_NE(out.text.find("--burst requires"), std::string::npos)
         << out.text;
+
+    const CommandOutput campaign = shard("run --out " + path("x.json") +
+                                         " --mesh 4 --sites 2"
+                                         " --burst 64:0.5:2:0");
+    EXPECT_NE(campaign.status, 0);
+    EXPECT_NE(campaign.text.find("--burst requires"), std::string::npos)
+        << campaign.text;
+    EXPECT_FALSE(fs::exists(path("x.json")));
+}
+
+TEST_F(WorkloadCli, PhaseRepeatWithoutPhasesIsRejected)
+{
+    const CommandOutput out =
+        simulate("--mesh 4 --cycles 200 --phase-repeat");
+    EXPECT_NE(out.status, 0);
+    EXPECT_NE(out.text.find("--phase-repeat requires"), std::string::npos)
+        << out.text;
+
+    const CommandOutput campaign = shard(
+        "run --out " + path("x.json") + " --mesh 4 --sites 2 --phase-repeat");
+    EXPECT_NE(campaign.status, 0);
+    EXPECT_NE(campaign.text.find("--phase-repeat requires"),
+              std::string::npos)
+        << campaign.text;
+    EXPECT_FALSE(fs::exists(path("x.json")));
 }
 
 TEST_F(WorkloadCli, PhasesAndTraceReplayAreMutuallyExclusive)

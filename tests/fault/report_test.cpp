@@ -8,9 +8,10 @@ namespace nocalert::fault {
 namespace {
 
 CampaignResult
-tinyCampaign()
+tinyCampaign(bool recovery = false)
 {
     CampaignConfig config;
+    config.recovery = recovery;
     config.network.width = 4;
     config.network.height = 4;
     config.workload.synthetic.injectionRate = 0.05;
@@ -75,10 +76,34 @@ TEST(CampaignReport, CsvEncodesVerdicts)
 TEST(CampaignReport, SummaryTextMentionsDetectors)
 {
     const CampaignResult result = tinyCampaign();
+    const CampaignSummary summary = result.summarize();
     const std::string text = summaryText(result);
     EXPECT_NE(text.find("NoCAlert"), std::string::npos);
     EXPECT_NE(text.find("ForEVeR"), std::string::npos);
     EXPECT_NE(text.find("campaign: 8 runs"), std::string::npos);
+
+    ASSERT_FALSE(summary.detectionLatency.empty());
+    const std::string p99 =
+        std::to_string(summary.detectionLatency.percentile(0.99));
+    EXPECT_NE(text.find(", p99 " + p99 + ", max "), std::string::npos)
+        << text;
+    const auto fn = static_cast<unsigned>(Outcome::FalseNegative);
+    EXPECT_NE(text.find("false negatives (must be 0): " +
+                        std::to_string(summary.nocalert[fn]) + "\n"),
+              std::string::npos)
+        << text;
+    // The recovered count only exists in recovery campaigns.
+    EXPECT_EQ(text.find("detected-recovered"), std::string::npos);
+
+    const CampaignResult recovery = tinyCampaign(/*recovery=*/true);
+    const auto recovered =
+        static_cast<unsigned>(Outcome::DetectedRecovered);
+    EXPECT_NE(summaryText(recovery).find(
+                  "detected-recovered: " +
+                  std::to_string(recovery.summarize().nocalert[recovered]) +
+                  " of 8 runs\n"),
+              std::string::npos)
+        << summaryText(recovery);
 }
 
 } // namespace

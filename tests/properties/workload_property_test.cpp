@@ -270,14 +270,15 @@ TEST_P(WorkloadSnapshotProperty, MidPhaseCopyResumesExactly)
 INSTANTIATE_TEST_SUITE_P(
     Splits, WorkloadSnapshotProperty,
     testing::Values(
-        // Mid-first-phase, inside the idle gap, mid-second-phase,
-        // and inside the hotspot tail — for both backends.
+        // Mid-first-phase, mid-second-phase and inside the hotspot
+        // tail, then the idle gap between the phases — for both
+        // backends.
         SplitCase{"phase0", 90, false, false},
-        SplitCase{"gap", 200, false, false},
         SplitCase{"phase1", 300, true, false},
         SplitCase{"hotspot", 500, false, false},
         SplitCase{"trace_mid", 130, false, true},
-        SplitCase{"trace_gap", 210, true, true}),
+        SplitCase{"trace_gap", 210, true, true},
+        SplitCase{"phase_gap", 200, false, false}),
     [](const testing::TestParamInfo<SplitCase> &info) {
         return info.param.name;
     });

@@ -44,6 +44,12 @@ namespace fs = std::filesystem;
 const char *kCampaignFlags = "--mesh 4 --sites 4 --rate 0.05 --seed 11"
                              " --warmup 80";
 
+/** CI's phased workload-smoke flags, on fewer sites. */
+const char *kPhasedFlags =
+    "--mesh 4 --sites 4 --seed 13 --warmup 200 --phases "
+    "0:200:uniform:0.06,200:400:transpose:0.1,400:600:hotspot:0.05:5:0.5"
+    " --burst 64:0.5:2.0:0.25:2 --phase-repeat";
+
 int
 exitStatus(const std::string &command)
 {
@@ -139,23 +145,31 @@ class ServeCli : public ::testing::Test
 
 TEST_F(ServeCli, ServedArtifactIsByteIdenticalToTheBatchCli)
 {
-    // The served path: submit, wait, fetch.
-    const std::string submit =
-        client("submit") + " " + kCampaignFlags + " --wait --out " +
-        path("served.json") + " 2> " + path("client.log");
-    ASSERT_EQ(exitStatus(submit), 0) << readFile(dir_ / "client.log");
+    const char *const cases[] = {kCampaignFlags, kPhasedFlags};
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+        const std::string flags = cases[i];
+        SCOPED_TRACE(flags);
+        // Fresh names per case: an existing --out file is the batch
+        // run's checkpoint, and a different campaign's is refused.
+        const std::string served = path("served" + std::to_string(i));
+        const std::string reference = path("ref" + std::to_string(i));
 
-    // The batch path: same flags through campaign_shard run.
-    const std::string batch =
-        std::string(NOCALERT_SHARD_BIN) + " run " + kCampaignFlags +
-        " --jobs 1 --out " + path("ref.json") + " >/dev/null 2>&1";
-    ASSERT_EQ(exitStatus(batch), 0);
+        // The served path: submit, wait, fetch.
+        const std::string submit = client("submit") + " " + flags +
+                                   " --wait --out " + served + " 2> " +
+                                   path("client.log");
+        ASSERT_EQ(exitStatus(submit), 0) << readFile(dir_ / "client.log");
 
-    const std::string served = readFile(dir_ / "served.json");
-    const std::string reference = readFile(dir_ / "ref.json");
-    ASSERT_FALSE(served.empty());
-    EXPECT_EQ(served, reference)
-        << "the service must reproduce the batch CLI byte for byte";
+        // The batch path: same flags through campaign_shard run.
+        const std::string batch =
+            std::string(NOCALERT_SHARD_BIN) + " run " + flags +
+            " --jobs 1 --out " + reference + " >/dev/null 2>&1";
+        ASSERT_EQ(exitStatus(batch), 0);
+
+        ASSERT_FALSE(readFile(served).empty());
+        EXPECT_EQ(readFile(served), readFile(reference))
+            << "the service must reproduce the batch CLI byte for byte";
+    }
 }
 
 TEST_F(ServeCli, RepeatedSubmissionIsACacheHit)

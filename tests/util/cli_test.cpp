@@ -62,6 +62,41 @@ TEST(CommandLine, BadIntegerIsFatal)
                 testing::ExitedWithCode(1), "expects an integer");
 }
 
+TEST(CommandLine, TrailingGarbageIsFatal)
+{
+    // A typo must not silently run as its numeric prefix.
+    EXPECT_EXIT(parse({"--sites", "2x"}, {"sites"}).getInt("sites", 0),
+                testing::ExitedWithCode(1), "--sites expects an integer");
+    EXPECT_EXIT(parse({"--rate", "0.05abc"}, {"rate"}).getDouble("rate", 0),
+                testing::ExitedWithCode(1), "--rate expects a number");
+    EXPECT_EQ(parse({"--n=-3"}, {"n"}).getInt("n", 0), -3);
+    EXPECT_DOUBLE_EQ(parse({"--r=1e-3"}, {"r"}).getDouble("r", 0), 1e-3);
+}
+
+TEST(CommandLine, UnsignedReadsCounts)
+{
+    const auto cli = parse({"--sites", "42"}, {"sites", "jobs"});
+    EXPECT_EQ(cli.getUnsigned("sites", 7), 42u);
+    EXPECT_EQ(cli.getUnsigned("jobs", 7), 7u);
+    EXPECT_EQ(parse({"--n=4294967295"}, {"n"}).getUnsigned("n", 0),
+              4294967295u);
+}
+
+TEST(CommandLine, UnsignedRejectsNegativeMalformedAndOversized)
+{
+    // "-1" is a value, not a flag, so it reaches the accessor — which
+    // must name the flag instead of wrapping to 4294967295.
+    EXPECT_EXIT(parse({"--jobs", "-1"}, {"jobs"}).getUnsigned("jobs", 0),
+                testing::ExitedWithCode(1),
+                "--jobs expects a non-negative integer, got '-1'");
+    EXPECT_EXIT(parse({"--sites=2x"}, {"sites"}).getUnsigned("sites", 0),
+                testing::ExitedWithCode(1), "--sites expects");
+    EXPECT_EXIT(parse({"--n=4294967296"}, {"n"}).getUnsigned("n", 0),
+                testing::ExitedWithCode(1), "--n expects");
+    EXPECT_EXIT(parse({"--n="}, {"n"}).getUnsigned("n", 0),
+                testing::ExitedWithCode(1), "--n expects");
+}
+
 TEST(CommandLine, SwitchFollowedByFlag)
 {
     const auto cli = parse({"--full", "--n", "3"}, {"full", "n"});
