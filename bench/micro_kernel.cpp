@@ -6,7 +6,9 @@
  * network drains, and a ForEVeR epoch tail completes the horizon —
  * exactly the per-site work FaultCampaign::runSingle performs. Each
  * kernel executes the same runs; the harness verifies their ejection
- * logs and statistics stay bit-identical while it times them, then
+ * logs, statistics and NoCAlert and ForEVeR alert counts (plus
+ * ForEVeR's first detection cycle) stay identical while it times
+ * them, then
  * writes BENCH_kernel.json with runs/sec for all three kernels, the
  * legacy dense-vs-active speedup, and the active-vs-bitmask speedup,
  * swept across injection rates (default 0.01/0.02/0.05).
@@ -50,6 +52,9 @@ struct RunOutcome
     std::uint64_t latencySum = 0;
     std::uint64_t flitsEjected = 0;
     std::size_t alerts = 0;
+    std::size_t foreverAlerts = 0;
+    /** First ForEVeR detection cycle, or -1 when none fired. */
+    noc::Cycle foreverFirst = -1;
     noc::Cycle endCycle = 0;
     std::uint64_t routerEvals = 0;
 };
@@ -106,6 +111,8 @@ campaignRun(const noc::Network &base, noc::KernelMode mode,
     out.latencySum = stats.latencySum;
     out.flitsEjected = stats.flitsEjected;
     out.alerts = engine.log().count();
+    out.foreverAlerts = fever.alerts().size();
+    out.foreverFirst = fever.firstDetection().value_or(-1);
     out.endCycle = net.cycle();
     out.routerEvals = net.routerEvaluations();
     return out;
@@ -116,7 +123,8 @@ sameOutcome(const RunOutcome &a, const RunOutcome &b)
 {
     return a.ejections == b.ejections && a.latencySum == b.latencySum &&
            a.flitsEjected == b.flitsEjected && a.alerts == b.alerts &&
-           a.endCycle == b.endCycle;
+           a.foreverAlerts == b.foreverAlerts &&
+           a.foreverFirst == b.foreverFirst && a.endCycle == b.endCycle;
 }
 
 constexpr int kNumKernels = 3;
@@ -179,10 +187,12 @@ benchRate(int mesh, double rate, std::uint64_t seed, noc::Cycle warmup,
             std::fprintf(stderr,
                          "rate %.3f run %d: kernel %d DISAGREES with "
                          "dense (ejections %zu/%zu, alerts %zu/%zu, "
-                         "end cycle %lld/%lld)\n",
+                         "ForEVeR alerts %zu/%zu, end cycle "
+                         "%lld/%lld)\n",
                          rate, r, k, outcomes[0].ejections,
                          outcomes[k].ejections, outcomes[0].alerts,
-                         outcomes[k].alerts,
+                         outcomes[k].alerts, outcomes[0].foreverAlerts,
+                         outcomes[k].foreverAlerts,
                          static_cast<long long>(outcomes[0].endCycle),
                          static_cast<long long>(outcomes[k].endCycle));
         }

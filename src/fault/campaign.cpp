@@ -197,16 +197,13 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     if (config.runForever)
         fever.emplace(net, config.forever, /*attach_now=*/false);
 
-    // ForEVeR's allocation comparator inspects every non-quiescent
-    // router's wires each cycle; the bitmask fast path never
-    // materialises RouterWires, so those runs take the classic path.
-    if (fever && net.kernelMode() == noc::KernelMode::Bitmask)
-        net.setKernelMode(noc::KernelMode::Active);
-
     net.setPackedObserver([&](const noc::Router &router,
                               const noc::PackedCycleEvents &ev) {
         engine.observePacked(router, ev);
     });
+    // Under the bitmask kernel only routers that take the branchy
+    // path reach this observer. That is all ForEVeR's allocation
+    // comparator needs (ForeverModel::observeRouter, DESIGN.md §11).
     net.setRouterObserver([&](const noc::Router &router,
                               const noc::RouterWires &wires) {
         engine.observeRouter(router, wires);

@@ -202,9 +202,10 @@ struct CampaignConfig
 
     /**
      * Escape hatch: run every simulation on the dense kernel instead
-     * of the active-set kernel. Results are bit-identical either way
-     * (the kernel-equivalence tests assert it); use this to
-     * cross-check a suspect campaign or to time the dense baseline.
+     * of the default bitmask kernel. Results are bit-identical
+     * either way (the kernel-equivalence tests assert it); use this
+     * to cross-check a suspect campaign or to time the dense
+     * baseline.
      */
     bool denseKernel = false;
 

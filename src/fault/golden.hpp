@@ -15,7 +15,6 @@
 #define NOCALERT_FAULT_GOLDEN_HPP
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -59,16 +58,23 @@ struct GoldenComparison
     std::uint8_t conditions() const;
 };
 
-/** Indexed golden ejection log. */
+/**
+ * Indexed golden ejection log, stored flat: the golden flits in log
+ * order plus an index of their log positions sorted by (packet, seq).
+ */
 class GoldenReference
 {
   public:
-    /** Build the reference from a fault-free run's ejection records. */
+    /**
+     * Build the reference from a fault-free run's ejection records.
+     * Panics if the log holds a flit twice or a packet whose flits
+     * ejected at two nodes; neither can happen fault-free.
+     */
     explicit GoldenReference(
         const std::vector<noc::EjectionRecord> &golden);
 
     /** Number of flits the golden run delivered. */
-    std::size_t flitCount() const { return flits_.size(); }
+    std::size_t flitCount() const { return entries_.size(); }
 
     /**
      * Compare a faulty run's ejection records against the reference.
@@ -84,8 +90,40 @@ class GoldenReference
         bool drained) const;
 
   private:
-    using Key = std::pair<noc::PacketId, std::uint16_t>;
-    std::map<Key, noc::NodeId> flits_;
+    /** One golden flit. */
+    struct Entry
+    {
+        noc::PacketId packet = noc::kInvalidPacket;
+        std::uint16_t seq = 0;
+        noc::NodeId node = noc::kInvalidNode;
+        std::uint32_t packetSlot = 0; ///< Dense index of the packet.
+    };
+
+    /** Log position of one golden flit, keyed for binary search. */
+    struct Key
+    {
+        noc::PacketId packet = noc::kInvalidPacket;
+        std::uint16_t seq = 0;
+        std::uint32_t pos = 0;
+
+        bool operator<(const Key &other) const
+        {
+            if (packet != other.packet)
+                return packet < other.packet;
+            return seq < other.seq;
+        }
+    };
+
+    /**
+     * Log position of flit (@p packet, @p seq), or flitCount() if the
+     * golden run never ejected it. Tries position @p hint first.
+     */
+    std::size_t find(noc::PacketId packet, std::uint16_t seq,
+                     std::size_t hint) const;
+
+    std::vector<Entry> entries_; ///< Golden log order.
+    std::vector<Key> sorted_;    ///< (packet, seq) order.
+    std::uint32_t packets_ = 0;  ///< Distinct golden packets.
 };
 
 } // namespace nocalert::fault

@@ -78,7 +78,18 @@ class ForeverModel
     ForeverModel(noc::Network &network, const ForeverConfig &config,
                  bool attach_now = true);
 
-    /** Allocation-comparator tap on a router's finished cycle. */
+    /**
+     * Allocation-comparator tap on a router's finished cycle.
+     *
+     * Under KernelMode::Bitmask the network calls this only for
+     * routers that take the branchy path; fast-path routers never
+     * materialise RouterWires. That loses nothing: a fast-path
+     * router's SA1/SA2/VA2 grants come from RoundRobinArbiter::compute
+     * over its own request words, so each grant is a one-hot subset
+     * of its requests and the comparator cannot fire on it. Fault
+     * injection reaches a router only through its tap hook, which
+     * pins the router to the branchy path.
+     */
     void observeRouter(const noc::Router &router,
                        const noc::RouterWires &wires);
 

@@ -1004,7 +1004,11 @@ Network::stats() const
 std::vector<EjectionRecord>
 Network::collectEjections() const
 {
+    std::size_t total = 0;
+    for (const NetworkInterface &ni : nis_)
+        total += ni.ejectionLog().size();
     std::vector<EjectionRecord> all;
+    all.reserve(total);
     for (const NetworkInterface &ni : nis_) {
         all.insert(all.end(), ni.ejectionLog().begin(),
                    ni.ejectionLog().end());

@@ -61,11 +61,13 @@ TEST_P(Determinism, ArtifactIsByteIdenticalAcrossJobs)
     EXPECT_EQ(artifactAtJobs(config, config.maxSites), serial);
 }
 
+// The "Active" case names predate the bitmask default; they stand
+// for the campaign's default kernel.
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndModes, Determinism,
-    ::testing::Values(std::make_pair(false, false),  // detection, active
+    ::testing::Values(std::make_pair(false, false),  // detection, bitmask
                       std::make_pair(false, true),   // detection, dense
-                      std::make_pair(true, false),   // recovery, active
+                      std::make_pair(true, false),   // recovery, bitmask
                       std::make_pair(true, true)),   // recovery, dense
     [](const ::testing::TestParamInfo<std::pair<bool, bool>> &info) {
         std::string name = info.param.first ? "Recovery" : "Detection";

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
+#include "noc/network.hpp"
+#include "util/rng.hpp"
+
 namespace nocalert::fault {
 namespace {
 
@@ -142,6 +148,211 @@ TEST(GoldenReference, DuplicateGoldenEjectionIsAnInternalBug)
     auto bad = goldenLog();
     bad.push_back(bad.front());
     EXPECT_DEATH(GoldenReference{bad}, "ejected flit twice");
+}
+
+TEST(GoldenReference, PacketEjectedAtTwoNodesIsAnInternalBug)
+{
+    // The reference keeps one last-seq slot per packet, so a golden
+    // packet must eject at a single node.
+    auto bad = goldenLog();
+    bad[1].node = 6; // pkt 1: seq 0 and 2 at node 5, seq 1 at node 6
+    EXPECT_DEATH(GoldenReference{bad}, "ejected packet at two nodes");
+}
+
+/**
+ * The std::map comparator GoldenReference used before its flat
+ * arrays, kept as the oracle for the differential test.
+ */
+std::vector<GoldenViolation>
+mapOracle(const std::vector<noc::EjectionRecord> &golden,
+          const std::vector<noc::EjectionRecord> &faulty, bool drained)
+{
+    using Key = std::pair<noc::PacketId, std::uint16_t>;
+    std::map<Key, noc::NodeId> flits;
+    for (const noc::EjectionRecord &rec : golden)
+        flits.emplace(Key{rec.flit.packet, rec.flit.seq}, rec.node);
+
+    std::vector<GoldenViolation> violations;
+    std::map<Key, unsigned> seen;
+    std::map<std::pair<noc::PacketId, noc::NodeId>, int> last_seq;
+
+    for (const noc::EjectionRecord &rec : faulty) {
+        const Key key{rec.flit.packet, rec.flit.seq};
+        const auto golden_it = flits.find(key);
+
+        if (golden_it == flits.end()) {
+            violations.push_back({GoldenViolation::Type::NewFlit,
+                                  rec.flit.packet, rec.flit.seq,
+                                  rec.node});
+            continue;
+        }
+
+        unsigned &count = seen[key];
+        ++count;
+        if (count > 1) {
+            violations.push_back({GoldenViolation::Type::NewFlit,
+                                  rec.flit.packet, rec.flit.seq,
+                                  rec.node});
+            continue;
+        }
+
+        if (golden_it->second != rec.node) {
+            violations.push_back(
+                {GoldenViolation::Type::WrongDestination,
+                 rec.flit.packet, rec.flit.seq, rec.node});
+            continue;
+        }
+
+        auto &last = last_seq[{rec.flit.packet, rec.node}];
+        if (static_cast<int>(rec.flit.seq) + 1 <= last) {
+            violations.push_back(
+                {GoldenViolation::Type::OrderViolation,
+                 rec.flit.packet, rec.flit.seq, rec.node});
+        }
+        if (static_cast<int>(rec.flit.seq) + 1 > last)
+            last = static_cast<int>(rec.flit.seq) + 1;
+    }
+
+    for (const auto &[key, node] : flits) {
+        if (seen.find(key) == seen.end()) {
+            violations.push_back({GoldenViolation::Type::FlitLost,
+                                  key.first, key.second, node});
+        }
+    }
+
+    if (!drained) {
+        violations.push_back({GoldenViolation::Type::NotDrained,
+                              noc::kInvalidPacket, 0,
+                              noc::kInvalidNode});
+    }
+    return violations;
+}
+
+/** The ejection log of a fault-free, drained 4x4 run. */
+std::vector<noc::EjectionRecord>
+realGoldenLog()
+{
+    noc::NetworkConfig config;
+    config.width = 4;
+    config.height = 4;
+    noc::TrafficSpec traffic;
+    traffic.injectionRate = 0.05;
+    traffic.seed = 17;
+    traffic.stopCycle = 400;
+
+    noc::Network net(config, traffic);
+    net.run(400);
+    EXPECT_TRUE(net.drain(4000));
+    return net.collectEjections();
+}
+
+/** One random edit of the kinds a faulty run produces. */
+void
+applyRandomEdit(std::vector<noc::EjectionRecord> &log, Pcg32 &rng,
+                int nodes)
+{
+    if (log.empty())
+        return;
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.nextBounded(static_cast<std::uint32_t>(n)));
+    };
+    const std::size_t i = pick(log.size());
+    switch (rng.nextBounded(7)) {
+      case 0: // drop
+        log.erase(log.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      case 1: { // duplicate, anywhere in the log
+        const noc::EjectionRecord copy = log[i];
+        log.insert(log.begin() +
+                       static_cast<std::ptrdiff_t>(pick(log.size() + 1)),
+                   copy);
+        break;
+      }
+      case 2: // move to another node
+        log[i].node = static_cast<noc::NodeId>(
+            (log[i].node + 1 + static_cast<int>(pick(nodes - 1))) %
+            nodes);
+        break;
+      case 3: { // swap with another flit of the same packet
+        for (std::size_t j = 0; j < log.size(); ++j) {
+            if (j != i && log[j].flit.packet == log[i].flit.packet) {
+                std::swap(log[i], log[j]);
+                break;
+            }
+        }
+        break;
+      }
+      case 4: { // a flit of a packet golden never saw
+        noc::EjectionRecord extra = log[i];
+        extra.flit.packet = 0xF00D0000u + rng.nextBounded(4);
+        log.insert(log.begin() +
+                       static_cast<std::ptrdiff_t>(pick(log.size() + 1)),
+                   extra);
+        break;
+      }
+      case 5: { // an unknown seq of a known packet
+        noc::EjectionRecord extra = log[i];
+        extra.flit.seq = static_cast<std::uint16_t>(
+            100 + rng.nextBounded(4));
+        log.insert(log.begin() +
+                       static_cast<std::ptrdiff_t>(pick(log.size() + 1)),
+                   extra);
+        break;
+      }
+      case 6: // truncate
+        log.resize(i);
+        break;
+    }
+}
+
+TEST(GoldenReference, FlatCompareMatchesMapOracleUnderRandomEdits)
+{
+    const std::vector<noc::EjectionRecord> golden = realGoldenLog();
+    ASSERT_GT(golden.size(), 500u);
+    const GoldenReference reference(golden);
+    constexpr int kNodes = 16;
+
+    std::map<GoldenViolation::Type, unsigned> types_seen;
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Pcg32 rng(seed);
+        std::vector<noc::EjectionRecord> faulty = golden;
+        // Seed 0 keeps the log whole: a replay must stay clean.
+        const unsigned edits = seed == 0 ? 0 : 1 + rng.nextBounded(5);
+        for (unsigned e = 0; e < edits; ++e)
+            applyRandomEdit(faulty, rng, kNodes);
+
+        for (const bool drained : {true, false}) {
+            const std::vector<GoldenViolation> want =
+                mapOracle(golden, faulty, drained);
+            const GoldenComparison got =
+                reference.compare(faulty, drained);
+            ASSERT_EQ(got.violations.size(), want.size())
+                << "drained=" << drained;
+            for (std::size_t k = 0; k < want.size(); ++k) {
+                const GoldenViolation &w = want[k];
+                const GoldenViolation &g = got.violations[k];
+                ASSERT_TRUE(w.type == g.type && w.packet == g.packet &&
+                            w.seq == g.seq && w.node == g.node)
+                    << "violation " << k << ": want " << w.describe()
+                    << ", got " << g.describe();
+                ++types_seen[w.type];
+            }
+        }
+        if (seed == 0) {
+            EXPECT_FALSE(reference.compare(faulty, true).violated());
+        }
+    }
+
+    // Every violation type occurred, so no branch went untested.
+    for (const auto type :
+         {GoldenViolation::Type::FlitLost, GoldenViolation::Type::NewFlit,
+          GoldenViolation::Type::WrongDestination,
+          GoldenViolation::Type::OrderViolation,
+          GoldenViolation::Type::NotDrained}) {
+        EXPECT_GT(types_seen[type], 0u) << violationTypeName(type);
+    }
 }
 
 } // namespace

@@ -6,13 +6,15 @@
  * full recovery stack — a simulation on the active kernel AND one on
  * the bitmask kernel must each be bit-identical to the same
  * simulation on the dense kernel in every observable: the ejection
- * logs (cycle, node, flit), the aggregate statistics, and the
- * complete NoCAlert assertion stream. This harness is what licenses
- * shipping the bitmask kernel as the default.
+ * logs (cycle, node, flit), the aggregate statistics, the complete
+ * NoCAlert assertion stream and, in detection mode, the complete
+ * ForEVeR alert stream. This harness is what licenses shipping the
+ * bitmask kernel as the default, ForEVeR campaigns included.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/nocalert.hpp"
 #include "fault/injector.hpp"
 #include "fault/site.hpp"
+#include "forever/forever.hpp"
 #include "noc/network.hpp"
 #include "recovery/orchestrator.hpp"
 
@@ -41,6 +44,12 @@ struct KernelCase
     fault::FaultKind kind = fault::FaultKind::Transient;
     /** Enable the extended (group-9) output-table checks. */
     bool extended = false;
+    /** Signal class of the armed site. */
+    fault::SignalClass signal = fault::SignalClass::WriteEnable;
+    /** A ForEVeR source this detection-mode case must fire, so the
+     *  ForEVeR stream comparison is not vacuous. */
+    std::optional<forever::ForeverAlert::Source> foreverFires =
+        std::nullopt;
 };
 
 std::string
@@ -60,6 +69,8 @@ caseName(const testing::TestParamInfo<KernelCase> &info)
         name += "_rec";
     if (c.extended)
         name += "_ext";
+    if (c.signal != fault::SignalClass::WriteEnable)
+        name += std::string("_") + fault::signalClassName(c.signal);
     return name;
 }
 
@@ -77,6 +88,9 @@ struct RunObservables
     std::uint64_t abandoned = 0;
     unsigned recoveryActions = 0;
     std::uint64_t purgedFlits = 0;
+
+    // ForEVeR's alerts (detection mode only; recovery disables it).
+    std::vector<forever::ForeverAlert> foreverAlerts;
 };
 
 RunObservables
@@ -99,22 +113,60 @@ simulate(const KernelCase &c, KernelMode mode)
 
     Network net(config, traffic);
     net.setKernelMode(mode);
-    core::NoCAlertEngine engine(net);
+
+    // Observers composed as FaultCampaign::runSingle composes them:
+    // NoCAlert always, ForEVeR in detection mode, the recovery
+    // orchestrator in recovery mode.
+    core::NoCAlertEngine engine(net, /*attach_now=*/false);
+    const forever::ForeverConfig forever_config;
+    std::optional<forever::ForeverModel> fever;
+    if (!c.recovery)
+        fever.emplace(net, forever_config, /*attach_now=*/false);
+    net.setPackedObserver(
+        [&](const Router &router, const PackedCycleEvents &ev) {
+            engine.observePacked(router, ev);
+        });
+    net.setRouterObserver(
+        [&](const Router &router, const RouterWires &wires) {
+            engine.observeRouter(router, wires);
+            if (fever)
+                fever->observeRouter(router, wires);
+        });
+    net.setNiObserver(
+        [&](const NetworkInterface &ni, const NiWires &wires) {
+            engine.observeNi(ni, wires);
+            if (fever)
+                fever->observeNi(ni, wires);
+        });
 
     std::optional<recovery::RecoveryOrchestrator> orch;
-    if (c.recovery) {
+    if (c.recovery)
         orch.emplace(net, engine);
+    if (fever || orch) {
         net.setCycleObserver([&](const Network &n) {
-            orch->onCycleEnd(n.cycle());
+            if (fever)
+                fever->onCycleEnd(n);
+            if (orch)
+                orch->onCycleEnd(n.cycle());
         });
     }
 
     fault::FaultInjector injector;
     if (c.inject) {
+        // The sampler's first round holds one site of every class.
         const auto sites = fault::FaultSiteCatalog::sampleNetwork(
-            config, 8, c.siteSeed);
+            config, fault::kNumSignalClasses, c.siteSeed);
+        const auto site = std::find_if(
+            sites.begin(), sites.end(), [&](const fault::FaultSite &s) {
+                return s.signal == c.signal;
+            });
+        if (site == sites.end()) {
+            ADD_FAILURE() << "no site of class "
+                          << fault::signalClassName(c.signal);
+            return {};
+        }
         fault::FaultSpec spec;
-        spec.site = sites.at(0);
+        spec.site = *site;
         spec.cycle = c.onset;
         spec.kind = c.kind;
         injector.arm(spec);
@@ -123,6 +175,9 @@ simulate(const KernelCase &c, KernelMode mode)
 
     net.run(600);
     net.drain(c.recovery ? 8000 : 6000);
+    // runSingle's ForEVeR epoch tail: one epoch past quiescence.
+    if (fever)
+        net.run(forever_config.epochLength + 2);
 
     RunObservables obs;
     obs.ejections = net.collectEjections();
@@ -138,6 +193,8 @@ simulate(const KernelCase &c, KernelMode mode)
         obs.recoveryActions = orch->stats().actions;
         obs.purgedFlits = orch->stats().purgedFlits;
     }
+    if (fever)
+        obs.foreverAlerts = fever->alerts();
     return obs;
 }
 
@@ -181,6 +238,20 @@ expectSameObservables(const RunObservables &dense,
     EXPECT_EQ(dense.abandoned, fast.abandoned);
     EXPECT_EQ(dense.recoveryActions, fast.recoveryActions);
     EXPECT_EQ(dense.purgedFlits, fast.purgedFlits);
+
+    // ForEVeR's complete alert stream. Under the bitmask kernel its
+    // allocation comparator sees only branchy-path routers; a
+    // mismatch here means the fast-path screen passed a router whose
+    // grants the comparator would have flagged.
+    ASSERT_EQ(dense.foreverAlerts.size(), fast.foreverAlerts.size());
+    for (std::size_t i = 0; i < dense.foreverAlerts.size(); ++i) {
+        EXPECT_EQ(dense.foreverAlerts[i].source,
+                  fast.foreverAlerts[i].source);
+        EXPECT_EQ(dense.foreverAlerts[i].cycle,
+                  fast.foreverAlerts[i].cycle);
+        EXPECT_EQ(dense.foreverAlerts[i].node,
+                  fast.foreverAlerts[i].node);
+    }
 }
 
 class KernelEquivalence : public testing::TestWithParam<KernelCase>
@@ -206,6 +277,14 @@ TEST_P(KernelEquivalence, FastKernelsBitIdenticalToDense)
     // a raw tap pin forces density.
     if (!c.inject) {
         EXPECT_LT(active.routerEvals, dense.routerEvals);
+    }
+
+    if (c.foreverFires) {
+        bool fired = false;
+        for (const forever::ForeverAlert &alert : dense.foreverAlerts)
+            fired |= alert.source == *c.foreverFires;
+        EXPECT_TRUE(fired)
+            << forever::foreverSourceName(*c.foreverFires);
     }
 }
 
@@ -245,7 +324,26 @@ INSTANTIATE_TEST_SUITE_P(
         KernelCase{4, 4, 0.08, 50, false, 0, 0, false,
                    fault::FaultKind::Transient, true},
         KernelCase{4, 4, 0.05, 51, true, 300, 52, false,
-                   fault::FaultKind::Transient, true}),
+                   fault::FaultKind::Transient, true},
+        // ForEVeR (detection mode): arbiter grant faults the
+        // allocation comparator flags, and a dropped flit its epoch
+        // counter check flags.
+        KernelCase{4, 4, 0.08, 60, true, 300, 71, false,
+                   fault::FaultKind::Transient, false,
+                   fault::SignalClass::Sa1Grant,
+                   forever::ForeverAlert::Source::AllocationComparator},
+        KernelCase{4, 4, 0.08, 62, true, 300, 63, false,
+                   fault::FaultKind::Transient, false,
+                   fault::SignalClass::Sa2Grant,
+                   forever::ForeverAlert::Source::AllocationComparator},
+        KernelCase{4, 4, 0.08, 64, true, 300, 65, false,
+                   fault::FaultKind::Transient, false,
+                   fault::SignalClass::Va2Grant,
+                   forever::ForeverAlert::Source::AllocationComparator},
+        KernelCase{4, 4, 0.05, 66, true, 300, 67, false,
+                   fault::FaultKind::Transient, false,
+                   fault::SignalClass::WriteEnable,
+                   forever::ForeverAlert::Source::CounterEpoch}),
     caseName);
 
 TEST(KernelEquivalence, CheckerShortcutMatchesUngatedBank)
