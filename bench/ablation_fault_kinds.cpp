@@ -28,11 +28,11 @@ using namespace nocalert;
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions options = bench::parseBenchOptions(argc, argv);
+    const fault::CampaignConfig base = bench::parseBenchCampaign(argc, argv);
 
     std::printf("Ablation — temporal fault model (same %u-site sample "
                 "per kind; 6x6 mesh)\n\n",
-                std::max(30u, options.campaign.maxSites / 3));
+                std::max(30u, base.maxSites / 3));
 
     Table table({"fault kind", "runs", "violations", "TP", "FP", "TN",
                  "FN", "same-cycle"});
@@ -40,7 +40,7 @@ main(int argc, char **argv)
     for (fault::FaultKind kind :
          {fault::FaultKind::Transient, fault::FaultKind::Intermittent,
           fault::FaultKind::Permanent}) {
-        fault::CampaignConfig config = options.campaign;
+        fault::CampaignConfig config = base;
         config.network.width = 6;
         config.network.height = 6;
         config.warmup = 600;

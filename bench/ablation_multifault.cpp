@@ -63,9 +63,7 @@ runPair(const fault::CampaignConfig &config, const noc::Network &base,
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions options = bench::parseBenchOptions(argc, argv);
-
-    fault::CampaignConfig config = options.campaign;
+    fault::CampaignConfig config = bench::parseBenchCampaign(argc, argv);
     config.network.width = 6;
     config.network.height = 6;
     config.warmup = 600;

@@ -67,7 +67,7 @@ westFirst(noc::NetworkConfig &config)
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions options = bench::parseBenchOptions(argc, argv);
+    const fault::CampaignConfig base = bench::parseBenchCampaign(argc, argv);
 
     const Variant variants[] = {
         {"baseline", baseline},
@@ -85,7 +85,7 @@ main(int argc, char **argv)
                  "same-cycle", "max latency"});
 
     for (const Variant &variant : variants) {
-        fault::CampaignConfig config = options.campaign;
+        fault::CampaignConfig config = base;
         // Keep the ablation affordable: a 6x6 mesh and a smaller
         // per-variant sample still exercise every signal class.
         config.network.width = 6;

@@ -4,34 +4,29 @@
 #include <chrono>
 #include <cstdio>
 
+#include "util/cli.hpp"
+
 namespace nocalert::bench {
 
-BenchOptions
-parseBenchOptions(int argc, const char *const *argv)
+fault::CampaignConfig
+parseBenchCampaign(int argc, const char *const *argv)
 {
     CommandLine cli(argc, argv,
-                    {"sites", "rate", "seed", "warm", "observe",
-                     "drain", "full", "epoch", "wires", "jobs"});
+                    {"sites", "rate", "seed", "observe", "drain", "wires",
+                     "jobs"});
 
-    BenchOptions options;
-    options.full = cli.getBool("full", false);
-
-    fault::CampaignConfig &campaign = options.campaign;
+    fault::CampaignConfig campaign;
     campaign.network.width = 8;
     campaign.network.height = 8;
     campaign.workload.synthetic.injectionRate = cli.getDouble("rate", 0.04);
     campaign.workload.synthetic.seed =
         static_cast<std::uint64_t>(cli.getInt("seed", 1));
-    campaign.observeWindow = cli.getInt("observe", 3200);
-    campaign.drainLimit = cli.getInt("drain", 6000);
-    campaign.maxSites = static_cast<unsigned>(
-        cli.getInt("sites", options.full ? 0 : 100));
-    campaign.forever.epochLength = cli.getInt("epoch", 1500);
+    campaign.observeWindow = cli.getUnsigned("observe", 3200);
+    campaign.drainLimit = cli.getUnsigned("drain", 6000);
+    campaign.maxSites = cli.getUnsigned("sites", 100);
     campaign.wireSitesOnly = cli.getBool("wires", false);
-    campaign.jobs = static_cast<unsigned>(cli.getInt("jobs", 0));
-
-    options.warmInstant = cli.getInt("warm", 2000);
-    return options;
+    campaign.jobs = cli.getUnsigned("jobs", 0);
+    return campaign;
 }
 
 fault::CampaignResult

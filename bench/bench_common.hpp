@@ -1,12 +1,11 @@
 /**
  * @file
- * Shared setup for the figure-reproduction benchmark binaries: the
- * paper's evaluation platform (8x8 mesh, 4 atomic VCs, 5-flit
- * buffers, XY routing, uniform random traffic) plus standard flags.
+ * Shared setup for the ablation benches: the paper's evaluation
+ * platform (8x8 mesh, 4 atomic VCs, 5-flit buffers, XY routing,
+ * uniform random traffic) plus their standard flags.
  *
- * Defaults are sized to finish in tens of seconds on one core using a
- * stratified fault-site sample; pass --full for a paper-scale
- * exhaustive sweep (hours).
+ * Defaults are sized to finish in tens of seconds using a stratified
+ * fault-site sample.
  */
 
 #ifndef NOCALERT_BENCH_COMMON_HPP
@@ -15,23 +14,14 @@
 #include <string>
 
 #include "fault/campaign.hpp"
-#include "util/cli.hpp"
 
 namespace nocalert::bench {
 
-/** Parsed options shared by the campaign-driven benches. */
-struct BenchOptions
-{
-    fault::CampaignConfig campaign;
-    bool full = false;
-
-    /** Warmup used for the paper's "cycle 32K" warm-network instant. */
-    noc::Cycle warmInstant = 2000;
-};
-
-/** Standard flag set: --sites --rate --seed --warm --observe --full
- *  --jobs (0 = all hardware threads; results are --jobs-invariant). */
-BenchOptions parseBenchOptions(int argc, const char *const *argv);
+/** Campaign from the standard flag set: --sites --rate --seed
+ *  --observe --drain --wires --jobs (0 = all hardware threads;
+ *  results are --jobs-invariant). */
+fault::CampaignConfig parseBenchCampaign(int argc,
+                                         const char *const *argv);
 
 /** Run a campaign, printing progress dots to stderr. */
 fault::CampaignResult runCampaign(const fault::CampaignConfig &config,

@@ -17,6 +17,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -34,26 +35,26 @@ using namespace nocalert;
 
 namespace {
 
+/** Parse "1,2,4": every token a whole count ("2x" and "-1" are
+ *  fatal, not 2 and 4294967295). */
 std::vector<unsigned>
 parseJobsList(const std::string &list)
 {
     std::vector<unsigned> jobs;
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string tok =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!tok.empty())
-            jobs.push_back(static_cast<unsigned>(std::stoul(tok)));
-        if (comma == std::string::npos)
-            break;
+    const char *pos = list.data();
+    const char *end = pos + list.size();
+    while (true) {
+        const char *comma = std::find(pos, end, ',');
+        unsigned value = 0;
+        const auto [stop, error] = std::from_chars(pos, comma, value);
+        if (error != std::errc() || stop != comma)
+            NOCALERT_FATAL("--jobs-list expects counts like 1,2,4, got '",
+                           list, "'");
+        jobs.push_back(value);
+        if (comma == end)
+            return jobs;
         pos = comma + 1;
     }
-    if (jobs.empty())
-        NOCALERT_FATAL("--jobs-list parsed to an empty list: ", list);
-    return jobs;
 }
 
 } // namespace
@@ -66,15 +67,15 @@ main(int argc, char **argv)
                      "observe", "drain", "jobs-list", "out"});
 
     fault::CampaignConfig config;
-    config.network.width = static_cast<int>(cli.getInt("mesh", 8));
+    config.network.width = static_cast<int>(cli.getUnsigned("mesh", 8));
     config.network.height = config.network.width;
     config.workload.synthetic.injectionRate = cli.getDouble("rate", 0.03);
     config.workload.synthetic.seed =
         static_cast<std::uint64_t>(cli.getInt("seed", 5));
-    config.warmup = cli.getInt("warmup", 400);
-    config.observeWindow = cli.getInt("observe", 1200);
-    config.drainLimit = cli.getInt("drain", 6000);
-    config.maxSites = static_cast<unsigned>(cli.getInt("sites", 32));
+    config.warmup = cli.getUnsigned("warmup", 400);
+    config.observeWindow = cli.getUnsigned("observe", 1200);
+    config.drainLimit = cli.getUnsigned("drain", 6000);
+    config.maxSites = cli.getUnsigned("sites", 32);
 
     const std::vector<unsigned> jobs_sweep =
         parseJobsList(cli.getString("jobs-list", "1,2,4,8"));

@@ -12,6 +12,7 @@
  *   campaign_shard merge  --out merged.json s0.json s1.json ...
  *   campaign_shard verify a.json b.json
  *   campaign_shard report a.json [--csv FILE]
+ *   campaign_shard figures warm.json [cold.json]
  *   campaign_shard help
  *
  * The campaign flags (--mesh, --sites, --rate, --seed, --warmup,
@@ -43,17 +44,24 @@
  * (including, for sampled results, identical per-stratum estimates)
  * and that neither contains a NoCAlert false negative. `report`
  * prints a result file's classification table (the paper's Section
- * 5.4 breakdown) and, with --csv, exports one row per run.
+ * 5.4 breakdown) and, with --csv, exports one row per run. `figures`
+ * renders the paper's Figures 3 and 6-9 from a campaign's result
+ * file; a second file, the same campaign injected at another instant
+ * (usually --warmup 0), adds its rows to Fig 6. The committed
+ * runs/paper_{warm,cold}.json are the paper's two instants, and
+ * runs/paper_figures.txt is what `figures` prints for them.
  *
  * Exit status: 0 success; 1 verify mismatch (or other fatal error);
- * 2 usage error; 3 verify/report input file missing; 4 verify/report
- * input file corrupt (unparseable or failing validation); 130
- * interrupted by SIGINT (checkpoint flushed, resumable).
+ * 2 usage error; 3 verify/report/figures input file missing; 4
+ * verify/report/figures input file corrupt (unparseable or failing
+ * validation); 130 interrupted by SIGINT (checkpoint flushed,
+ * resumable).
  */
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,8 +91,8 @@ printHelp(std::FILE *to)
 {
     std::fprintf(
         to,
-        "usage: campaign_shard <run|resume|merge|verify|report|help> "
-        "[options]\n"
+        "usage: campaign_shard "
+        "<run|resume|merge|verify|report|figures|help> [options]\n"
         "\n"
         "  run    --out FILE [--checkpoint FILE] [--checkpoint-every N]\n"
         "         [--jobs N] [--limit N] [--progress] [campaign flags]\n"
@@ -101,6 +109,10 @@ printHelp(std::FILE *to)
         "  report FILE [--csv FILE]\n"
         "             print a result file's classification table;\n"
         "             --csv writes one row per run\n"
+        "  figures WARM.json [COLD.json]\n"
+        "             render the paper's Figures 3 and 6-9 from a\n"
+        "             result file; COLD.json (the same campaign at\n"
+        "             --warmup 0) adds its rows to Fig 6\n"
         "\n");
     std::fputs(fault::campaignFlagHelp().c_str(), to);
     std::fprintf(
@@ -110,9 +122,10 @@ printHelp(std::FILE *to)
         "  0    success\n"
         "  1    verify mismatch, or any other fatal error\n"
         "  2    usage error\n"
-        "  3    verify/report: an input file does not exist\n"
-        "  4    verify/report: an input file is corrupt (unparseable\n"
-        "       JSON or failed schema/consistency validation)\n"
+        "  3    verify/report/figures: an input file does not exist\n"
+        "  4    verify/report/figures: an input file is corrupt\n"
+        "       (unparseable JSON or failed schema/consistency\n"
+        "       validation)\n"
         "  130  interrupted by SIGINT; the checkpoint was flushed and\n"
         "       the shard is resumable\n");
 }
@@ -288,9 +301,10 @@ cmdMerge(int argc, char **argv)
 }
 
 /**
- * Load a verify or report input, distinguishing "file does not exist"
- * (exit 3) from "exists but is corrupt" (exit 4) — a missing shard
- * and a damaged shard call for different operator responses.
+ * Load a verify, report or figures input, distinguishing "file does
+ * not exist" (exit 3) from "exists but is corrupt" (exit 4) — a
+ * missing shard and a damaged shard call for different operator
+ * responses.
  */
 fault::CampaignResult
 loadInputOrExit(const std::string &path)
@@ -406,6 +420,26 @@ cmdReport(int argc, char **argv)
     return kExitOk;
 }
 
+int
+cmdFigures(int argc, char **argv)
+{
+    CommandLine cli(argc, argv, {}, /*allow_positionals=*/true);
+    const std::vector<std::string> &files = cli.positionals();
+    if (files.empty() || files.size() > 2) {
+        std::fprintf(stderr, "usage: campaign_shard figures WARM.json "
+                             "[COLD.json]\n");
+        return kExitUsage;
+    }
+
+    const fault::CampaignResult warm = loadInputOrExit(files[0]);
+    std::optional<fault::CampaignResult> cold;
+    if (files.size() == 2)
+        cold = loadInputOrExit(files[1]);
+    std::printf("%s",
+                fault::figuresText(warm, cold ? &*cold : nullptr).c_str());
+    return kExitOk;
+}
+
 } // namespace
 
 int
@@ -431,5 +465,7 @@ main(int argc, char **argv)
         return cmdVerify(argc, argv);
     if (command == "report")
         return cmdReport(argc, argv);
+    if (command == "figures")
+        return cmdFigures(argc, argv);
     return usage();
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Campaign result export: per-run CSV (one row per injected fault,
- * suitable for external plotting/statistics) and a compact text
- * summary shared by examples and benches.
+ * suitable for external plotting/statistics), a compact text
+ * summary, and the paper's Figures 3 and 6-9 rendered from campaign
+ * artifacts.
  */
 
 #ifndef NOCALERT_FAULT_REPORT_HPP
@@ -38,6 +39,17 @@ std::string summaryText(const CampaignResult &result);
  * summaryText appends this automatically.
  */
 std::string samplingText(const CampaignResult &result);
+
+/**
+ * Render the paper's Figures 3 and 6-9 from campaign results: Fig 3's
+ * taxonomy cross-check, Fig 7's detection-delay CDFs, Fig 8's
+ * per-checker shares and Fig 9's simultaneity CDF read @p warm; Fig
+ * 6's coverage table and the Observation-5 partition read @p cold as
+ * well, when given. Each result is labelled by its injection instant:
+ * "cycle 0" when its warmup is 0, else "warm".
+ */
+std::string figuresText(const CampaignResult &warm,
+                        const CampaignResult *cold = nullptr);
 
 } // namespace nocalert::fault
 

@@ -1,8 +1,8 @@
 /**
- * End-to-end tests for the campaign_shard CLI, focused on the verify
- * and report subcommands' exit-code contract:
+ * End-to-end tests for the campaign_shard CLI, focused on the verify,
+ * report and figures subcommands' exit-code contract:
  *
- *   0  verify passed / report printed / help requested
+ *   0  verify passed / report or figures printed / help requested
  *   1  verify mismatch
  *   2  usage error
  *   3  an input file does not exist
@@ -263,6 +263,27 @@ TEST_F(ShardCli, ReportExitCodesMatchVerify)
     const std::string garbage = path("garbage.json");
     std::ofstream(garbage) << "this is not json {";
     EXPECT_EQ(shardExit("report " + garbage), 4);
+}
+
+TEST_F(ShardCli, FiguresExitCodesMatchReport)
+{
+    std::string text;
+    ASSERT_EQ(shardExit("figures " + kExhaustive, text), 0) << text;
+    EXPECT_NE(text.find("Figure 9 — "), std::string::npos) << text;
+    EXPECT_EQ(shardExit("figures " + kExhaustive + " " + kExhaustive), 0);
+
+    EXPECT_EQ(shardExit("figures"), 2);
+    EXPECT_EQ(shardExit("figures " + kExhaustive + " " + kExhaustive +
+                        " " + kExhaustive),
+              2);
+    EXPECT_EQ(shardExit("figures " + path("absent.json")), 3);
+    EXPECT_EQ(shardExit("figures " + kExhaustive + " " +
+                        path("absent.json")),
+              3);
+    const std::string garbage = path("garbage.json");
+    std::ofstream(garbage) << "this is not json {";
+    EXPECT_EQ(shardExit("figures " + garbage), 4);
+    EXPECT_EQ(shardExit("figures " + kExhaustive + " " + garbage), 4);
 }
 
 TEST_F(ShardCli, SampledRunRoundTripsThroughVerify)

@@ -240,12 +240,42 @@ TEST(Campaign, RecoveryDisabledKeepsSchemaV2Classification)
 
 TEST(Campaign, ForeverCanBeDisabled)
 {
-    CampaignConfig config = smallCampaign(8);
-    config.runForever = false;
-    const auto result = FaultCampaign(config).run();
-    for (const FaultRunResult &run : result.runs) {
-        EXPECT_FALSE(run.foreverDetected);
-        EXPECT_EQ(run.foreverLatency, kNoDetection);
+    // ForEVeR only observes the network: turning it off must leave
+    // every NoCAlert-side field unchanged, at both injection instants.
+    // Fig 3 relies on this when it reads a campaign that ran ForEVeR.
+    for (const noc::Cycle warmup : {noc::Cycle{0}, noc::Cycle{200}}) {
+        SCOPED_TRACE("warmup " + std::to_string(warmup));
+        CampaignConfig config = smallCampaign();
+        config.warmup = warmup;
+        const CampaignResult with = FaultCampaign(config).run();
+        config.runForever = false;
+        const CampaignResult without = FaultCampaign(config).run();
+
+        ASSERT_EQ(without.runs.size(), with.runs.size());
+        std::size_t detected = 0;
+        for (std::size_t i = 0; i < without.runs.size(); ++i) {
+            const FaultRunResult &off = without.runs[i];
+            const FaultRunResult &on = with.runs[i];
+            SCOPED_TRACE(off.site.describe());
+            EXPECT_FALSE(off.foreverDetected);
+            EXPECT_EQ(off.foreverLatency, kNoDetection);
+
+            EXPECT_EQ(off.site.describe(), on.site.describe());
+            EXPECT_EQ(off.detected, on.detected);
+            EXPECT_EQ(off.detectionLatency, on.detectionLatency);
+            EXPECT_EQ(off.detectedCautious, on.detectedCautious);
+            EXPECT_EQ(off.cautiousLatency, on.cautiousLatency);
+            EXPECT_EQ(off.alertAtInjection, on.alertAtInjection);
+            EXPECT_EQ(off.simultaneousCheckers, on.simultaneousCheckers);
+            EXPECT_EQ(off.invariants, on.invariants);
+            EXPECT_EQ(off.violated, on.violated);
+            EXPECT_EQ(off.violatedConditions, on.violatedConditions);
+            EXPECT_EQ(off.drained, on.drained);
+            EXPECT_EQ(off.outcome(), on.outcome());
+            EXPECT_EQ(off.cautiousOutcome(), on.cautiousOutcome());
+            detected += off.detected ? 1 : 0;
+        }
+        EXPECT_GT(detected, 0u) << "no detection to compare";
     }
 }
 
