@@ -28,7 +28,8 @@
  * checkpoint — losing at most the runs since the last checkpoint
  * write.
  *
- * Exit status: 0 clean shutdown; 1 socket setup failed; 2 usage error.
+ * Exit status: 0 clean shutdown; 1 socket setup failed or a flag value
+ * is malformed (before listening); 2 usage error.
  */
 
 #include <cstdio>
@@ -36,6 +37,7 @@
 
 #include "serve/server.hpp"
 #include "util/cli.hpp"
+#include "util/log.hpp"
 
 using namespace nocalert;
 
@@ -81,20 +83,25 @@ main(int argc, char **argv)
         return 2;
     }
 
+    // Counts parse as unsigned, so "-1" is fatal (exit 1, naming the
+    // flag) instead of wrapping into 2^32-1 workers.
     serve::ServerConfig config;
     config.socketPath = socket_path;
     config.cacheDir = cli.getString("cache", "nocalert-cache");
-    config.registry.jobs =
-        static_cast<unsigned>(cli.getInt("jobs", 1));
-    config.registry.quantum =
-        static_cast<unsigned>(cli.getInt("quantum", 16));
-    config.registry.checkpointEvery = static_cast<unsigned>(
-        cli.getInt("checkpoint-every", config.registry.checkpointEvery));
-    config.maxLineBytes = static_cast<std::size_t>(cli.getInt(
-        "max-line",
-        static_cast<std::int64_t>(serve::kDefaultMaxLineBytes)));
-    config.cacheMaxBytes =
-        static_cast<std::uint64_t>(cli.getInt("cache-max-bytes", 0));
+    config.registry.jobs = cli.getUnsigned("jobs", 1);
+    config.registry.quantum = cli.getUnsigned("quantum", 16);
+    config.registry.checkpointEvery =
+        cli.getUnsigned("checkpoint-every", config.registry.checkpointEvery);
+    config.maxLineBytes = cli.getUnsigned(
+        "max-line", static_cast<unsigned>(serve::kDefaultMaxLineBytes));
+    // The byte budget needs 64 bits, beyond getUnsigned.
+    const std::int64_t cache_max_bytes = cli.getInt("cache-max-bytes", 0);
+    if (cache_max_bytes < 0) {
+        NOCALERT_FATAL("flag --cache-max-bytes expects a non-negative "
+                       "integer, got '",
+                       cli.getString("cache-max-bytes", ""), "'");
+    }
+    config.cacheMaxBytes = static_cast<std::uint64_t>(cache_max_bytes);
     config.journalPath = cli.getString("journal", "");
 
     serve::CampaignServer server(std::move(config));

@@ -84,6 +84,14 @@ TelemetryHub::recordRun(std::size_t counter)
 }
 
 void
+TelemetryHub::bump(std::size_t counter)
+{
+    NOCALERT_ASSERT(counter < counters_.size(),
+                    "telemetry counter out of range");
+    counters_[counter].fetch_add(1, std::memory_order_relaxed);
+}
+
+void
 TelemetryHub::recordBusy(unsigned worker, std::uint64_t nanos)
 {
     NOCALERT_ASSERT(worker < busyNanos_.size(),

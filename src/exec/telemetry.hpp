@@ -95,6 +95,13 @@ class TelemetryHub
     void recordRun(std::size_t counter);
 
     /**
+     * Add one to counter slot @p counter without counting a run: an
+     * event inside runs (e.g. a run that stopped early), which a
+     * worker may report before its run commits.
+     */
+    void bump(std::size_t counter);
+
+    /**
      * Update the planned-run total. Adaptive (sampled) campaigns grow
      * the plan batch by batch, so the denominator is mutable; pass the
      * new absolute total, not a delta.

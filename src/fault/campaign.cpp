@@ -36,6 +36,71 @@ classify(bool detected, bool violated)
     return violated ? Outcome::FalseNegative : Outcome::TrueNegative;
 }
 
+/**
+ * Only a transient fault without recovery can leave the machine in
+ * golden's state: a permanent or intermittent fault keeps acting, and
+ * recovery carries orchestrator and quarantine state. Retransmission
+ * (implied by recovery) commits a packet's records to the log at its
+ * tail, out of cycle order, which the golden suffix cannot splice
+ * (DESIGN.md §16).
+ */
+bool
+stopsEarly(const CampaignConfig &config)
+{
+    return config.kind == FaultKind::Transient && !config.recovery &&
+           !config.network.retransmit.enabled;
+}
+
+/**
+ * Live telemetry slots: one per Outcome, then the runs that stopped
+ * early (bumped by the worker, not a run count; never serialized).
+ */
+const std::vector<std::string> kHubLabels = {"tp", "fp",  "tn",
+                                             "fn", "rec", "stop"};
+constexpr std::size_t kStopSlot = kNumOutcomes;
+
+/**
+ * Install a run's observers on @p net: the NoCAlert engine on every
+ * router path and NI, ForEVeR beside it, and the recovery
+ * orchestrator at cycle end. Golden preparation wires its guard the
+ * same way, so its ForEVeR sees exactly what a fault run's does.
+ */
+void
+observeRun(noc::Network &net, core::NoCAlertEngine &engine,
+           forever::ForeverModel *fever,
+           recovery::RecoveryOrchestrator *orchestrator)
+{
+    net.setPackedObserver([&engine](const noc::Router &router,
+                                    const noc::PackedCycleEvents &ev) {
+        engine.observePacked(router, ev);
+    });
+    // Under the bitmask kernel only routers that take the branchy
+    // path reach this observer. That is all ForEVeR's allocation
+    // comparator needs (ForeverModel::observeRouter, DESIGN.md §11).
+    net.setRouterObserver([&engine, fever](const noc::Router &router,
+                                           const noc::RouterWires &wires) {
+        engine.observeRouter(router, wires);
+        if (fever)
+            fever->observeRouter(router, wires);
+    });
+    net.setNiObserver([&engine, fever](const noc::NetworkInterface &ni,
+                                       const noc::NiWires &wires) {
+        engine.observeNi(ni, wires);
+        if (fever)
+            fever->observeNi(ni, wires);
+    });
+    // Recovery: quarantine-and-purge on policy trigger, executed at
+    // end-of-cycle so both kernels see identical mid-cycle state.
+    if (fever || orchestrator) {
+        net.setCycleObserver([fever, orchestrator](const noc::Network &n) {
+            if (fever)
+                fever->onCycleEnd(n);
+            if (orchestrator)
+                orchestrator->onCycleEnd(n.cycle());
+        });
+    }
+}
+
 } // namespace
 
 Outcome
@@ -188,7 +253,8 @@ FaultCampaign::runSingle(const CampaignConfig &config,
                          const noc::Network &base,
                          const GoldenReference &golden,
                          const FaultSite &site,
-                         noc::Cycle inject_offset)
+                         noc::Cycle inject_offset,
+                         std::optional<noc::Cycle> *stopped_at)
 {
     noc::Network net(base);
 
@@ -196,40 +262,11 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     std::optional<forever::ForeverModel> fever;
     if (config.runForever)
         fever.emplace(net, config.forever, /*attach_now=*/false);
-
-    net.setPackedObserver([&](const noc::Router &router,
-                              const noc::PackedCycleEvents &ev) {
-        engine.observePacked(router, ev);
-    });
-    // Under the bitmask kernel only routers that take the branchy
-    // path reach this observer. That is all ForEVeR's allocation
-    // comparator needs (ForeverModel::observeRouter, DESIGN.md §11).
-    net.setRouterObserver([&](const noc::Router &router,
-                              const noc::RouterWires &wires) {
-        engine.observeRouter(router, wires);
-        if (fever)
-            fever->observeRouter(router, wires);
-    });
-    net.setNiObserver([&](const noc::NetworkInterface &ni,
-                          const noc::NiWires &wires) {
-        engine.observeNi(ni, wires);
-        if (fever)
-            fever->observeNi(ni, wires);
-    });
-    // Recovery: quarantine-and-purge on policy trigger, executed at
-    // end-of-cycle so both kernels see identical mid-cycle state.
     std::optional<recovery::RecoveryOrchestrator> orchestrator;
     if (config.recovery)
         orchestrator.emplace(net, engine);
-
-    if (fever || orchestrator) {
-        net.setCycleObserver([&](const noc::Network &n) {
-            if (fever)
-                fever->onCycleEnd(n);
-            if (orchestrator)
-                orchestrator->onCycleEnd(n.cycle());
-        });
-    }
+    observeRun(net, engine, fever ? &*fever : nullptr,
+               orchestrator ? &*orchestrator : nullptr);
 
     // Retransmission counters accumulate from network birth; snapshot
     // the warm baseline so the result reports this run's deltas only.
@@ -261,8 +298,33 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     injector.arm({site, result.injectCycle, config.kind});
     injector.attach(net);
 
-    net.run(config.observeWindow);
-    result.drained = net.drain(config.drainLimit);
+    // From a golden checkpoint's state on, the run would replay the
+    // golden run: stop there and take the rest from golden
+    // (DESIGN.md §16). Checkpoints lie inside the observe window.
+    std::optional<noc::Cycle> stop;
+    if (stopsEarly(config)) {
+        for (const GoldenReference::Checkpoint &cp : golden.checkpoints()) {
+            if (cp.cycle() <= result.injectCycle)
+                continue;
+            if (cp.cycle() > base.cycle() + config.observeWindow)
+                break;
+            net.run(cp.cycle() - net.cycle());
+            if (net.sameState(cp.network) &&
+                (!fever || (cp.forever && fever->state() == *cp.forever))) {
+                stop = cp.cycle();
+                break;
+            }
+        }
+    }
+    if (stopped_at)
+        *stopped_at = stop;
+
+    if (stop) {
+        result.drained = true;
+    } else {
+        net.run(base.cycle() + config.observeWindow - net.cycle());
+        result.drained = net.drain(config.drainLimit);
+    }
     if (!result.drained && config.recovery) {
         // A quarantined router with a permanent wire fault churns
         // forever and full quiescence is unreachable; what bounded
@@ -283,11 +345,11 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     // ForEVeR's counter alarms fire at epoch boundaries; give it one
     // full epoch past quiescence so a stuck counter is evaluated even
     // when the network otherwise went idle.
-    if (fever)
+    if (fever && !stop)
         net.run(config.forever.epochLength + 2);
 
     const GoldenComparison comparison =
-        golden.compare(net.collectEjections(), result.drained);
+        golden.compare(net.collectEjections(), result.drained, stop);
     result.violated = comparison.violated();
     result.violatedConditions = comparison.conditions();
 
@@ -306,7 +368,12 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     result.invariants = log.distinctInvariants();
 
     if (fever) {
-        if (auto first = fever->firstDetection()) {
+        // A stopped run's own alerts all precede the stop; golden's
+        // from the stop on are the ones the rest of the run raises.
+        std::optional<noc::Cycle> first = fever->firstDetection();
+        if (stop && !first)
+            first = golden.foreverAlarmFrom(*stop);
+        if (first) {
             result.foreverDetected = true;
             result.foreverLatency = *first - result.injectCycle;
         }
@@ -338,25 +405,9 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     return result;
 }
 
-namespace {
-
-/** A warmed-up snapshot plus its fault-free golden reference. */
-struct PreparedReference
-{
-    noc::Network base;
-    GoldenReference golden;
-};
-
-/**
- * Build the warm snapshot and golden reference for @p config (with
- * @p traffic_seed overriding the configured one — sampled campaigns
- * prepare one reference per sampled traffic seed). Shared by the
- * exhaustive and sampled planners so both pay the warmup exactly
- * once per seed.
- */
-PreparedReference
-prepareReference(const CampaignConfig &config,
-                 std::uint64_t traffic_seed)
+FaultCampaign::PreparedReference
+FaultCampaign::prepareReference(const CampaignConfig &config,
+                                std::uint64_t traffic_seed)
 {
     nocalert::traffic::WorkloadSpec workload = config.workload;
     workload.setSeed(traffic_seed);
@@ -377,22 +428,57 @@ prepareReference(const CampaignConfig &config,
         base.setPackedObserver(nullptr);
     }
 
+    // A campaign whose runs can stop early also records the golden
+    // trajectory they stop against: checkpoints, and ForEVeR's alarms
+    // over the same horizon a fault run simulates (DESIGN.md §16).
+    const bool checkpointed = stopsEarly(config);
     noc::Network golden(base);
-    {
-        core::NoCAlertEngine golden_guard(golden);
-        golden.run(config.observeWindow);
-        const bool drained = golden.drain(config.drainLimit);
-        if (!drained) {
-            NOCALERT_FATAL("golden run failed to drain within ",
-                           config.drainLimit,
-                           " cycles; lower the injection rate");
-        }
-        NOCALERT_ASSERT(golden_guard.log().empty(),
-                        "checker asserted during fault-free golden run");
+    core::NoCAlertEngine golden_guard(golden, /*attach_now=*/false);
+    std::optional<forever::ForeverModel> fever;
+    if (checkpointed && config.runForever)
+        fever.emplace(golden, config.forever, /*attach_now=*/false);
+    observeRun(golden, golden_guard, fever ? &*fever : nullptr, nullptr);
+
+    // Checkpoints hold no ejection log: golden's are swapped out
+    // around the copy.
+    std::vector<GoldenReference::Checkpoint> checkpoints;
+    std::vector<std::vector<noc::EjectionRecord>> logs;
+    for (const noc::Cycle offset : kCheckpointOffsets) {
+        if (!checkpointed || offset > config.observeWindow)
+            break;
+        golden.run(base.cycle() + offset - golden.cycle());
+        golden.swapEjectionLogs(logs);
+        checkpoints.push_back({noc::Network(golden), std::nullopt});
+        golden.swapEjectionLogs(logs);
+        if (fever)
+            checkpoints.back().forever = fever->state();
     }
-    return PreparedReference{std::move(base),
-                             GoldenReference(golden.collectEjections())};
+    golden.run(base.cycle() + config.observeWindow - golden.cycle());
+    if (!golden.drain(config.drainLimit)) {
+        NOCALERT_FATAL("golden run failed to drain within ",
+                       config.drainLimit,
+                       " cycles; lower the injection rate");
+    }
+    if (fever)
+        golden.run(config.forever.epochLength + 2);
+    NOCALERT_ASSERT(golden_guard.log().empty(),
+                    "checker asserted during fault-free golden run");
+
+    // A retransmitting log is not time-ordered per node, which only
+    // the checkpointed reference needs.
+    if (!checkpointed)
+        return {std::move(base), GoldenReference(golden.collectEjections())};
+    std::vector<noc::Cycle> alarms;
+    if (fever) {
+        for (const forever::ForeverAlert &alert : fever->alerts())
+            alarms.push_back(alert.cycle);
+    }
+    return {std::move(base),
+            GoldenReference(golden.collectEjections(),
+                            std::move(checkpoints), std::move(alarms))};
 }
+
+namespace {
 
 /** Load this campaign's checkpoint document, if any, after validating
  *  identity and shard selector; fatal on any mismatch (a checkpoint
@@ -457,7 +543,7 @@ FaultCampaign::run(const Progress &progress, const RunOptions &options)
     result.config = config_;
 
     // ---- Warm snapshot + golden reference ----
-    PreparedReference prepared =
+    const PreparedReference prepared =
         prepareReference(config_, config_.workload.seed());
     const noc::Network &base = prepared.base;
     const GoldenReference &reference = prepared.golden;
@@ -526,7 +612,7 @@ FaultCampaign::run(const Progress &progress, const RunOptions &options)
     exec::CampaignExecutor executor(exec::ExecConfig{
         config_.jobs, config_.workload.seed(), config_.sampleSeed});
     exec::TelemetryHub hub(shard_indices.size(), executor.jobs(),
-                           {"tp", "fp", "tn", "fn", "rec"});
+                           kHubLabels);
     for (const auto &[index, run] : done_runs)
         hub.recordRun(static_cast<unsigned>(run.outcome()));
 
@@ -539,8 +625,11 @@ FaultCampaign::run(const Progress &progress, const RunOptions &options)
                 // traffic streams are derived inside the network
                 // copy), so today it intentionally goes unused.
                 const std::size_t index = todo[ctx.index];
-                FaultRunResult run =
-                    runSingle(config_, base, reference, sites[index]);
+                std::optional<noc::Cycle> stop;
+                FaultRunResult run = runSingle(config_, base, reference,
+                                               sites[index], 0, &stop);
+                if (stop)
+                    hub.bump(kStopSlot);
                 run.sampleIndex = index;
                 return run;
             },
@@ -654,8 +743,7 @@ FaultCampaign::runSampled(const Progress &progress,
     exec::CampaignExecutor executor(exec::ExecConfig{
         config_.jobs, config_.workload.seed(),
         config_.sampling.samplerSeed});
-    exec::TelemetryHub hub(0, executor.jobs(),
-                           {"tp", "fp", "tn", "fn", "rec"});
+    exec::TelemetryHub hub(0, executor.jobs(), kHubLabels);
     for (const auto &[index, run] : done_runs)
         hub.recordRun(static_cast<unsigned>(run.outcome()));
 
@@ -720,9 +808,12 @@ FaultCampaign::runSampled(const Progress &progress,
                         const SampledDraw &draw = todo[ctx.index];
                         const PreparedReference &ref =
                             prepared[draw.seedIndex];
-                        FaultRunResult run =
-                            runSingle(config_, ref.base, ref.golden,
-                                      draw.site, draw.cycleOffset);
+                        std::optional<noc::Cycle> stop;
+                        FaultRunResult run = runSingle(
+                            config_, ref.base, ref.golden, draw.site,
+                            draw.cycleOffset, &stop);
+                        if (stop)
+                            hub.bump(kStopSlot);
                         run.sampleIndex = draw.drawIndex;
                         run.stratum = draw.stratum;
                         run.seedIndex = draw.seedIndex;

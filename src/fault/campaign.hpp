@@ -392,6 +392,13 @@ CampaignTelemetry computeTelemetry(const CampaignResult &result);
  */
 CampaignConfig normalizedCampaignConfig(CampaignConfig config);
 
+/**
+ * Offsets past the warm instant at which golden preparation
+ * checkpoints the golden run for early exit (DESIGN.md §16).
+ * Offsets beyond the observe window are not recorded.
+ */
+inline constexpr std::array<noc::Cycle, 2> kCheckpointOffsets = {16, 256};
+
 /** Campaign driver. */
 class FaultCampaign
 {
@@ -437,18 +444,49 @@ class FaultCampaign
     CampaignResult run(const Progress &progress,
                        const RunOptions &options);
 
+    /** A warmed-up snapshot plus its fault-free golden reference. */
+    struct PreparedReference
+    {
+        noc::Network base;
+        GoldenReference golden;
+    };
+
+    /**
+     * Warm the network of @p config (a normalizedCampaignConfig) up,
+     * with @p traffic_seed overriding the workload seed, and run the
+     * fault-free golden run from that snapshot; fatal if golden does
+     * not drain, panics if a checker fires. Both planners call this
+     * once per traffic seed. For transient campaigns without recovery
+     * or retransmission the reference also holds golden checkpoints
+     * at the warm instant + kCheckpointOffsets and golden's ForEVeR
+     * alarms over the fault runs' horizon (window, drain and the
+     * epoch tail); for the others it holds the bare ejection log.
+     */
+    static PreparedReference prepareReference(const CampaignConfig &config,
+                                              std::uint64_t traffic_seed);
+
     /**
      * Execute a single fault-injected run against a prepared warm
      * snapshot and golden reference (building block for tests).
      * @p inject_offset delays the injection that many cycles past the
      * snapshot instant (sampled-mode cycle jitter; 0 = inject at the
      * snapshot cycle, the exhaustive behaviour).
+     *
+     * A transient run without recovery or retransmission stops at
+     * the first checkpoint of @p golden after its injection cycle
+     * whose network and ForEVeR state it equals exactly: from there
+     * on it would be the golden run. The result is the full run's, field for field (its
+     * alerts so far, golden's ForEVeR alarms and ejections from the
+     * stop on, drained). A reference built from a bare log has no
+     * checkpoints, so runs against it simulate their full horizon.
+     * When @p stopped_at is non-null it receives the stop cycle, or
+     * nullopt for a full-length run.
      */
-    static FaultRunResult runSingle(const CampaignConfig &config,
-                                    const noc::Network &base,
-                                    const GoldenReference &golden,
-                                    const FaultSite &site,
-                                    noc::Cycle inject_offset = 0);
+    static FaultRunResult runSingle(
+        const CampaignConfig &config, const noc::Network &base,
+        const GoldenReference &golden, const FaultSite &site,
+        noc::Cycle inject_offset = 0,
+        std::optional<noc::Cycle> *stopped_at = nullptr);
 
   private:
     CampaignResult runSampled(const Progress &progress,

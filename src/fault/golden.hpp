@@ -15,11 +15,14 @@
 #define NOCALERT_FAULT_GOLDEN_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/invariant.hpp"
+#include "forever/forever.hpp"
 #include "noc/interface.hpp"
+#include "noc/network.hpp"
 
 namespace nocalert::fault {
 
@@ -59,22 +62,61 @@ struct GoldenComparison
 };
 
 /**
- * Indexed golden ejection log, stored flat: the golden flits in log
- * order plus an index of their log positions sorted by (packet, seq).
+ * The golden run, as fault runs are judged against it: its ejection
+ * log, stored flat (the golden flits in log order plus an index of
+ * their log positions sorted by (packet, seq)), and optionally
+ * checkpoints of its trajectory that let a converged fault run stop
+ * early (DESIGN.md §16).
  */
 class GoldenReference
 {
   public:
     /**
-     * Build the reference from a fault-free run's ejection records.
+     * The golden run's state at one cycle boundary after the warm
+     * instant: the network without ejection logs, plus ForEVeR's
+     * state when the campaign runs ForEVeR. A fault run whose
+     * network and ForEVeR state equal a checkpoint's at its cycle
+     * replays golden from there on.
+     */
+    struct Checkpoint
+    {
+        noc::Network network;
+        std::optional<forever::ForeverState> forever;
+
+        noc::Cycle cycle() const { return network.cycle(); }
+    };
+
+    /**
+     * Build a bare reference from a fault-free run's ejection records:
+     * no checkpoints, so runs against it simulate their full horizon.
      * Panics if the log holds a flit twice or a packet whose flits
      * ejected at two nodes; neither can happen fault-free.
      */
     explicit GoldenReference(
         const std::vector<noc::EjectionRecord> &golden);
 
+    /**
+     * Build a checkpointed reference. @p golden must be the golden
+     * network's collectEjections() (grouped by node, time-ordered per
+     * node); @p checkpoints are in increasing cycle order, and
+     * @p forever_alarms are the cycles of every ForEVeR alert golden
+     * raised over the fault runs' full horizon, in order.
+     */
+    GoldenReference(const std::vector<noc::EjectionRecord> &golden,
+                    std::vector<Checkpoint> checkpoints,
+                    std::vector<noc::Cycle> forever_alarms);
+
     /** Number of flits the golden run delivered. */
     std::size_t flitCount() const { return entries_.size(); }
+
+    /** Checkpoints of the golden trajectory (empty for a bare log). */
+    const std::vector<Checkpoint> &checkpoints() const
+    {
+        return checkpoints_;
+    }
+
+    /** Cycle of golden's first ForEVeR alert at or after @p cycle. */
+    std::optional<noc::Cycle> foreverAlarmFrom(noc::Cycle cycle) const;
 
     /**
      * Compare a faulty run's ejection records against the reference.
@@ -84,10 +126,16 @@ class GoldenReference
      * @param drained True iff the faulty network reached quiescence
      *                within its horizon; false adds a bounded-delivery
      *                violation.
+     * @param golden_from Set when the run stopped at this cycle in a
+     *                checkpoint's state. @p faulty must then be in
+     *                collectEjections() order, and each node's records
+     *                are followed by golden's records of that node at
+     *                cycles >= golden_from: exactly the sequence the
+     *                full run would have ejected.
      */
     GoldenComparison compare(
-        const std::vector<noc::EjectionRecord> &faulty,
-        bool drained) const;
+        const std::vector<noc::EjectionRecord> &faulty, bool drained,
+        std::optional<noc::Cycle> golden_from = std::nullopt) const;
 
   private:
     /** One golden flit. */
@@ -97,6 +145,15 @@ class GoldenReference
         std::uint16_t seq = 0;
         noc::NodeId node = noc::kInvalidNode;
         std::uint32_t packetSlot = 0; ///< Dense index of the packet.
+        std::uint32_t cycle = 0;      ///< Ejection cycle (fits padding).
+    };
+
+    /** One node's records: entries_[begin, end). */
+    struct NodeRange
+    {
+        noc::NodeId node = noc::kInvalidNode;
+        std::uint32_t begin = 0;
+        std::uint32_t end = 0;
     };
 
     /** Log position of one golden flit, keyed for binary search. */
@@ -124,6 +181,10 @@ class GoldenReference
     std::vector<Entry> entries_; ///< Golden log order.
     std::vector<Key> sorted_;    ///< (packet, seq) order.
     std::uint32_t packets_ = 0;  ///< Distinct golden packets.
+
+    std::vector<NodeRange> nodes_; ///< Checkpointed only, node order.
+    std::vector<Checkpoint> checkpoints_;
+    std::vector<noc::Cycle> forever_alarms_;
 };
 
 } // namespace nocalert::fault

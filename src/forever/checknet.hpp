@@ -28,6 +28,8 @@ struct Notification
 {
     noc::NodeId dst = noc::kInvalidNode;
     std::uint32_t flits = 0; ///< Expected flit count of the packet.
+
+    bool operator==(const Notification &) const = default;
 };
 
 /** Behavioural checker-network model. */
@@ -47,6 +49,13 @@ class CheckerNetwork
 
     /** Notifications still in flight. */
     std::size_t inFlight() const { return pending_count_; }
+
+    /** The in-flight notifications keyed by arrival cycle, in delivery
+     *  order. */
+    const std::multimap<noc::Cycle, Notification> &pending() const
+    {
+        return pending_;
+    }
 
   private:
     const noc::NetworkConfig *config_;

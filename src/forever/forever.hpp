@@ -26,6 +26,7 @@
 #define NOCALERT_FOREVER_FOREVER_HPP
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -60,6 +61,24 @@ struct ForeverAlert
 
 /** Name of an alert source. */
 const char *foreverSourceName(ForeverAlert::Source source);
+
+/**
+ * The part of a ForeverModel that decides every later alert, taken
+ * at a cycle boundary: the epoch origin, the destination counters,
+ * the epoch minima and the checker-network notifications in flight.
+ * The alert list is output only, and the touched-node list is empty
+ * at every boundary. Two models in equal states attached to equal
+ * networks raise the same alerts from then on.
+ */
+struct ForeverState
+{
+    noc::Cycle startCycle = 0;
+    std::vector<std::int64_t> counters;
+    std::vector<std::int64_t> epochMin;
+    std::multimap<noc::Cycle, Notification> notifications;
+
+    bool operator==(const ForeverState &) const = default;
+};
 
 /** ForEVeR attached to one network instance. */
 class ForeverModel
@@ -108,6 +127,12 @@ class ForeverModel
 
     /** Drop accumulated alerts. */
     void clearAlerts() { alerts_.clear(); }
+
+    /** Detector state at the current cycle boundary. */
+    ForeverState state() const
+    {
+        return {start_cycle_, counters_, epoch_min_, checknet_.pending()};
+    }
 
     /** Current counter value of node @p node (tests). */
     std::int64_t counter(noc::NodeId node) const

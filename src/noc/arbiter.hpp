@@ -80,6 +80,8 @@ class RoundRobinArbiter
         pointer_ = (winner + 1) % num_clients_;
     }
 
+    bool operator==(const RoundRobinArbiter &) const = default;
+
   private:
     unsigned num_clients_;
     unsigned pointer_ = 0;

@@ -17,6 +17,17 @@ VcFifo::clear()
     count_ = 0;
 }
 
+bool
+VcFifo::sameContents(const VcFifo &other) const
+{
+    if (depth_ != other.depth_ || count_ != other.count_)
+        return false;
+    for (unsigned i = 0; i < count_; ++i)
+        if (!(peek(i) == other.peek(i)))
+            return false;
+    return true;
+}
+
 unsigned
 VcFifo::removePacket(PacketId id)
 {

@@ -108,6 +108,13 @@ class VcFifo
     void clear();
 
     /**
+     * True iff both FIFOs have the same depth and hold the same flits
+     * in the same order. The head offset and the stale slots beyond
+     * size() are ignored: no fault-free read reaches them.
+     */
+    bool sameContents(const VcFifo &other) const;
+
+    /**
      * Remove every stored flit whose packet id is @p id, preserving
      * the order of the survivors. Returns the number removed. Used by
      * recovery purges; unlike pop(), removal compacts the live region
@@ -180,6 +187,8 @@ struct VcRecord
      * walking allocation chains.
      */
     PacketId packet = kInvalidPacket;
+
+    bool operator==(const VcRecord &) const = default;
 
     /** Reset to the idle state (buffer contents handled separately). */
     void

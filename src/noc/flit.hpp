@@ -98,6 +98,8 @@ struct Packet
     /** Packet id this packet acknowledges (kInvalidPacket for data). */
     PacketId ackFor = kInvalidPacket;
 
+    bool operator==(const Packet &) const = default;
+
     /** Build flit number @p seq of this packet. */
     Flit makeFlit(std::uint16_t seq) const;
 };

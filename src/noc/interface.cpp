@@ -24,6 +24,33 @@ NetworkInterface::enqueue(const Packet &packet)
     queue_.push_back(packet);
 }
 
+bool
+NetworkInterface::sameState(const NetworkInterface &other) const
+{
+    if (node_ != other.node_ || queue_ != other.queue_ ||
+        streaming_ != other.streaming_ || trackers_ != other.trackers_ ||
+        class_rr_ != other.class_rr_ || pending_ != other.pending_ ||
+        delivered_ != other.delivered_ || ack_count_ != other.ack_count_ ||
+        reassembly_.size() != other.reassembly_.size())
+        return false;
+    // A stream start rewrites all three registers.
+    if (streaming_ &&
+        (!(current_ == other.current_) || next_seq_ != other.next_seq_ ||
+         stream_vc_ != other.stream_vc_))
+        return false;
+    for (std::size_t v = 0; v < reassembly_.size(); ++v) {
+        const Reassembly &a = reassembly_[v];
+        const Reassembly &b = other.reassembly_[v];
+        if (a.open != b.open || a.packet != b.packet ||
+            a.nextSeq != b.nextSeq || a.staged != b.staged)
+            return false;
+        // Only retransmission reads (and clears) the dirty bit.
+        if (retransmit_.enabled && a.dirty != b.dirty)
+            return false;
+    }
+    return true;
+}
+
 void
 NetworkInterface::evaluate(Cycle cycle, LinkIo &io)
 {

@@ -36,6 +36,8 @@ struct EjectionRecord
     Cycle cycle = 0;
     NodeId node = kInvalidNode; ///< Node the flit was ejected at.
     Flit flit;
+
+    bool operator==(const EjectionRecord &) const = default;
 };
 
 /** End-to-end anomaly bits raised by the ejection-side checks. */
@@ -103,6 +105,18 @@ class NetworkInterface
         return queue_.empty() && !streaming_ && pending_.empty();
     }
 
+    /**
+     * Architectural-state equality with the NI of the same node and
+     * configuration: injection queue, the outgoing stream, VC
+     * trackers, reassembly (staged flits included), the class
+     * round-robin, and the retransmission state (pending ACKs,
+     * delivered set, ACK count). The wire record, the ejection log
+     * and the statistics counters are ignored, as are the stream
+     * registers while not streaming and the reassembly dirty bit
+     * without retransmission, which nothing reads then (DESIGN.md §16).
+     */
+    bool sameState(const NetworkInterface &other) const;
+
     /** Evaluate one cycle of injection and ejection. */
     void evaluate(Cycle cycle, LinkIo &io);
 
@@ -123,6 +137,9 @@ class NetworkInterface
 
     /** Discard the ejection log (keeps counters). */
     void clearLog() { log_.clear(); }
+
+    /** Exchange the ejection log with @p log (no copy). */
+    void swapLog(std::vector<EjectionRecord> &log) { log_.swap(log); }
 
     /** Total packets fully injected. */
     std::uint64_t packetsInjected() const { return packets_injected_; }
@@ -188,6 +205,8 @@ class NetworkInterface
     {
         bool free = true;
         std::uint8_t credits = 0;
+
+        bool operator==(const VcTracker &) const = default;
     };
 
     /** Reassembly state of one ejection-side VC. */
@@ -217,6 +236,8 @@ class NetworkInterface
         unsigned attempts = 0; ///< Retransmissions performed so far.
         bool queued = false;   ///< A copy is in queue_ or streaming.
         bool acked = false;    ///< ACK arrived while still streaming.
+
+        bool operator==(const PendingAck &) const = default;
     };
 
     void doInject(Cycle cycle, LinkIo &io);

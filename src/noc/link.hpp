@@ -61,6 +61,22 @@ struct Link
 
     /** Drop any in-flight values (used when resetting a network). */
     void clear();
+
+    /**
+     * Architectural-state equality: valid and credit bits, plus the
+     * flits on the valid sides. The payload of an invalid side is
+     * stale and never read.
+     */
+    bool
+    sameState(const Link &other) const
+    {
+        return sendValid == other.sendValid &&
+               recvValid == other.recvValid &&
+               creditSend == other.creditSend &&
+               creditRecv == other.creditRecv &&
+               (!sendValid || sendFlit == other.sendFlit) &&
+               (!recvValid || recvFlit == other.recvFlit);
+    }
 };
 
 } // namespace nocalert::noc

@@ -816,6 +816,27 @@ Network::quiescent() const
     return true;
 }
 
+bool
+Network::sameState(const Network &other) const
+{
+    if (cycle_ != other.cycle_ ||
+        !routing_->sameQuarantine(*other.routing_) ||
+        links_.size() != other.links_.size() ||
+        nis_.size() != other.nis_.size() ||
+        routers_.size() != other.routers_.size())
+        return false;
+    for (std::size_t i = 0; i < links_.size(); ++i)
+        if (!links_[i].sameState(other.links_[i]))
+            return false;
+    for (std::size_t i = 0; i < nis_.size(); ++i)
+        if (!nis_[i].sameState(other.nis_[i]))
+            return false;
+    for (std::size_t i = 0; i < routers_.size(); ++i)
+        if (!routers_[i].sameState(other.routers_[i]))
+            return false;
+    return traffic_.sameState(other.traffic_);
+}
+
 std::size_t
 Network::quarantinePort(NodeId node, int port)
 {
@@ -1021,6 +1042,14 @@ Network::clearEjectionLogs()
 {
     for (NetworkInterface &ni : nis_)
         ni.clearLog();
+}
+
+void
+Network::swapEjectionLogs(std::vector<std::vector<EjectionRecord>> &logs)
+{
+    logs.resize(nis_.size());
+    for (std::size_t n = 0; n < nis_.size(); ++n)
+        nis_[n].swapLog(logs[n]);
 }
 
 } // namespace nocalert::noc

@@ -169,6 +169,18 @@ class Network
     bool quiescent() const;
 
     /**
+     * Architectural-state equality with a network of the same
+     * configuration: the cycle, the routing quarantine set, every
+     * router, NI and link (Router/NetworkInterface/Link::sameState)
+     * and the workload generator. Two equal networks evolve
+     * identically under the same (or no) faults, whatever their
+     * kernels: ejection logs, statistics, kernel caches (packed
+     * state, live set, arrival flags), activity pins and observers
+     * are ignored (DESIGN.md §16).
+     */
+    bool sameState(const Network &other) const;
+
+    /**
      * Router of node @p node. The non-const accessor also wakes the
      * router: callers may mutate architectural state directly (tests,
      * fault models), which can turn a scheduled-out router live again.
@@ -277,6 +289,13 @@ class Network
 
     /** Discard all NI ejection logs (e.g. after warmup). */
     void clearEjectionLogs();
+
+    /**
+     * Exchange every NI's ejection log with @p logs[node] (resized to
+     * the node count). Swapping the logs out around a copy makes a
+     * snapshot that carries no log, without copying it.
+     */
+    void swapEjectionLogs(std::vector<std::vector<EjectionRecord>> &logs);
 
   private:
     void buildTopology();

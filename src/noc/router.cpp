@@ -98,6 +98,21 @@ Router::va1Pointer(int port, unsigned vc)
 }
 
 bool
+Router::sameState(const Router &other) const
+{
+    if (node_ != other.node_ || records_ != other.records_ ||
+        outVcs_ != other.outVcs_ || sched_ != other.sched_ ||
+        sa1Arb_ != other.sa1Arb_ || sa2Arb_ != other.sa2Arb_ ||
+        rcArb_ != other.rcArb_ || va2Arb_ != other.va2Arb_ ||
+        va1Ptr_ != other.va1Ptr_ || fifos_.size() != other.fifos_.size())
+        return false;
+    for (std::size_t i = 0; i < fifos_.size(); ++i)
+        if (!fifos_[i].sameContents(other.fifos_[i]))
+            return false;
+    return true;
+}
+
+bool
 Router::idle() const
 {
     for (const auto &fifo : fifos_)

@@ -49,6 +49,8 @@ struct OutVcState
     int ownerPort = -1;    ///< Input port of the holder (-1 when free).
     int ownerVc = -1;      ///< Input VC of the holder (-1 when free).
     std::uint8_t credits = 0; ///< Free flit slots downstream.
+
+    bool operator==(const OutVcState &) const = default;
 };
 
 /**
@@ -61,6 +63,8 @@ struct XbarSchedule
     std::uint8_t vc = 0;      ///< Input VC to read.
     std::uint32_t rowMask = 0; ///< Output ports to drive (1-hot normally).
     std::uint8_t outVcWire = 0; ///< VC id stamped on the departing flit.
+
+    bool operator==(const XbarSchedule &) const = default;
 };
 
 /** Five-port mesh router. */
@@ -164,6 +168,15 @@ class Router
 
     /** Wire record of the most recently evaluated cycle. */
     const RouterWires &wires() const { return wires_; }
+
+    /**
+     * Architectural-state equality with a router of the same node and
+     * configuration: VC records, live FIFO contents, the out-VC table,
+     * the SA->ST schedule, every arbiter pointer and the VA1 pointers.
+     * The wire record (rebuilt by every evaluation) and the stale FIFO
+     * slots and head offsets are ignored (DESIGN.md §16).
+     */
+    bool sameState(const Router &other) const;
 
     /** True iff no flits are buffered and no reads are scheduled. */
     bool idle() const;

@@ -89,6 +89,14 @@ class RoutingAlgorithm
     /** Lift every quarantine. */
     void clearQuarantine() { quarantined_.clear(); }
 
+    /** True iff both instances quarantine the same (node, port) set
+     *  (their only runtime state). */
+    bool
+    sameQuarantine(const RoutingAlgorithm &other) const
+    {
+        return quarantined_ == other.quarantined_;
+    }
+
   private:
     std::unordered_set<long long> quarantined_;
 };

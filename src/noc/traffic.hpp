@@ -152,6 +152,15 @@ class TrafficGenerator
     /** Packets created so far (all nodes). */
     std::uint64_t packetsCreated() const { return packets_created_; }
 
+    /** Same parameters, RNG streams and packet-id counters (the
+     *  packetsCreated() statistic is ignored). */
+    bool
+    sameState(const TrafficGenerator &other) const
+    {
+        return spec_ == other.spec_ && rngs_ == other.rngs_ &&
+               counts_ == other.counts_;
+    }
+
     /**
      * True iff generation has permanently stopped by @p cycle: every
      * later generate() call returns nullopt regardless of its draws.

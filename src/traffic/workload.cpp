@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <type_traits>
 #include <utility>
 
 #include "util/log.hpp"
@@ -559,6 +560,20 @@ WorkloadGenerator::packetsCreated() const
 {
     return std::visit(
         [](const auto &backend) { return backend.packetsCreated(); },
+        backend_);
+}
+
+bool
+WorkloadGenerator::sameState(const WorkloadGenerator &other) const
+{
+    if (!(spec_ == other.spec_) ||
+        backend_.index() != other.backend_.index())
+        return false;
+    return std::visit(
+        [&](const auto &backend) {
+            using Backend = std::decay_t<decltype(backend)>;
+            return backend.sameState(std::get<Backend>(other.backend_));
+        },
         backend_);
 }
 

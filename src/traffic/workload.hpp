@@ -245,6 +245,13 @@ class PhasedGenerator
 
     std::uint64_t packetsCreated() const { return packets_created_; }
 
+    /** Same program and packet-id counters (statistic ignored). */
+    bool
+    sameState(const PhasedGenerator &other) const
+    {
+        return spec_ == other.spec_ && counts_ == other.counts_;
+    }
+
     /** Index of the segment covering @p cycle, or -1 (idle gap /
      *  stopped / past a non-repeating program). Phase stratification
      *  keys on this. */
@@ -283,6 +290,15 @@ class TraceGenerator
     bool idleAt(noc::Cycle cycle) const;
 
     std::uint64_t packetsCreated() const { return packets_created_; }
+
+    /** Same trace (the spec pins its digest), cursors and packet-id
+     *  counters (statistic ignored). */
+    bool
+    sameState(const TraceGenerator &other) const
+    {
+        return spec_ == other.spec_ && cursor_ == other.cursor_ &&
+               counts_ == other.counts_;
+    }
 
   private:
     struct NodeEvents
@@ -349,6 +365,12 @@ class WorkloadGenerator
 
     /** Packets created so far (all nodes, all backends). */
     std::uint64_t packetsCreated() const;
+
+    /**
+     * True iff both generators will produce the same packets from
+     * here on: same spec and same backend state.
+     */
+    bool sameState(const WorkloadGenerator &other) const;
 
     /** The phased backend, or nullptr (phase stratification, tests). */
     const PhasedGenerator *phased() const

@@ -24,6 +24,20 @@ TEST(TelemetryHub, CountersAccumulatePerLabel)
     EXPECT_EQ(snap.counters, (std::vector<std::uint64_t>{1, 0, 2}));
 }
 
+TEST(TelemetryHub, BumpCountsAnEventWithoutARun)
+{
+    TelemetryHub hub(10, 1, {"tn", "stop"});
+    hub.recordRun(0);
+    hub.bump(1);
+    hub.bump(1);
+
+    const TelemetrySnapshot snap = hub.snapshot();
+    EXPECT_EQ(snap.runsCompleted, 1u);
+    EXPECT_EQ(snap.counters, (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_NE(TelemetryHub::progressLine(snap).find("stop=2"),
+              std::string::npos);
+}
+
 TEST(TelemetryHub, EtaUnknownBeforeFirstRun)
 {
     TelemetryHub hub(10, 1, {"done"});

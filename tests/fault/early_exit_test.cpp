@@ -1,0 +1,666 @@
+/**
+ * Early exit of transient fault runs (DESIGN.md §16).
+ *
+ *  - State equality: a copy equals its source; a one-bit change in
+ *    any compared component of a router, NI, link, generator or
+ *    ForEVeR model breaks equality; stale FIFO slots and link
+ *    payloads, logs, statistics, wires and kernel caches do not.
+ *  - Differential battery: for every kernel and workload, each run
+ *    against the checkpointed reference serializes exactly like the
+ *    same run against a bare-log reference of the same golden log,
+ *    which has no checkpoints and so always runs its full horizon.
+ *    Each case must stop at least one run, so the battery is never
+ *    vacuous.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "fault/campaign.hpp"
+#include "fault/injector.hpp"
+#include "fault/sampled.hpp"
+#include "fault/serialize.hpp"
+#include "fault/site.hpp"
+#include "forever/forever.hpp"
+#include "noc/network.hpp"
+
+#ifndef NOCALERT_TEST_DATA
+#error "NOCALERT_TEST_DATA must point at tests/data"
+#endif
+
+namespace nocalert::fault {
+namespace {
+
+using noc::KernelMode;
+
+// ---------------------------------------------------------------------
+// State equality
+// ---------------------------------------------------------------------
+
+noc::Network
+warmNetwork()
+{
+    noc::NetworkConfig config;
+    config.width = config.height = 4;
+    noc::TrafficSpec traffic;
+    traffic.injectionRate = 0.12;
+    traffic.seed = 5;
+    noc::Network net(config, traffic);
+    net.setKernelMode(KernelMode::Bitmask);
+    net.run(300);
+    return net;
+}
+
+/** The first (router, port, vc) whose FIFO is empty / non-empty. */
+struct VcSlot
+{
+    noc::NodeId node = 0;
+    int port = 0;
+    unsigned vc = 0;
+};
+
+std::optional<VcSlot>
+findVc(const noc::Network &net, bool empty)
+{
+    for (noc::NodeId n = 0; n < net.config().numNodes(); ++n)
+        for (int p = 0; p < noc::kNumPorts; ++p)
+            for (unsigned v = 0; v < net.config().router.numVcs; ++v)
+                if (net.router(n).fifo(p, v).empty() == empty)
+                    return VcSlot{n, p, v};
+    return std::nullopt;
+}
+
+TEST(StateEquality, CopyEqualsItsSourceAndEvolvesWithIt)
+{
+    noc::Network net = warmNetwork();
+    noc::Network copy(net);
+    EXPECT_TRUE(copy.sameState(net));
+    net.run(40);
+    EXPECT_FALSE(copy.sameState(net)); // the cycle differs
+    copy.run(40);
+    EXPECT_TRUE(copy.sameState(net));
+}
+
+TEST(StateEquality, EveryRouterComponentCounts)
+{
+    const noc::Network net = warmNetwork();
+    const auto busy = findVc(net, /*empty=*/false);
+    const auto idle = findVc(net, /*empty=*/true);
+    ASSERT_TRUE(busy && idle);
+
+    using Mutation = void (*)(noc::Router &, const VcSlot &);
+    const std::vector<std::pair<const char *, Mutation>> mutations = {
+        {"vc record",
+         [](noc::Router &r, const VcSlot &s) {
+             r.vcRecord(s.port, s.vc).flitsArrived ^= 1;
+         }},
+        {"out-vc table",
+         [](noc::Router &r, const VcSlot &s) {
+             r.outVcState(s.port, s.vc).credits ^= 1;
+         }},
+        {"schedule",
+         [](noc::Router &r, const VcSlot &s) {
+             r.schedule(s.port).rowMask ^= 1;
+         }},
+        {"sa1 arbiter",
+         [](noc::Router &r, const VcSlot &s) {
+             r.sa1Arbiter(s.port).setPointer(r.sa1Arbiter(s.port).pointer() ^
+                                             1);
+         }},
+        {"sa2 arbiter",
+         [](noc::Router &r, const VcSlot &s) {
+             r.sa2Arbiter(s.port).setPointer(r.sa2Arbiter(s.port).pointer() ^
+                                             1);
+         }},
+        {"rc arbiter",
+         [](noc::Router &r, const VcSlot &s) {
+             r.rcArbiter(s.port).setPointer(r.rcArbiter(s.port).pointer() ^
+                                            1);
+         }},
+        {"va2 arbiter",
+         [](noc::Router &r, const VcSlot &s) {
+             noc::RoundRobinArbiter &arb = r.va2Arbiter(s.port, s.vc);
+             arb.setPointer(arb.pointer() ^ 1);
+         }},
+        {"va1 pointer",
+         [](noc::Router &r, const VcSlot &s) {
+             r.va1Pointer(s.port, s.vc) ^= 1;
+         }},
+        {"fifo count",
+         [](noc::Router &r, const VcSlot &s) {
+             r.fifo(s.port, s.vc).push(noc::Flit{});
+         }},
+    };
+    for (const auto &[name, mutate] : mutations) {
+        SCOPED_TRACE(name);
+        noc::Network copy(net);
+        mutate(copy.router(busy->node), *busy);
+        EXPECT_FALSE(copy.router(busy->node).sameState(
+            net.router(busy->node)));
+        EXPECT_FALSE(copy.sameState(net));
+    }
+
+    // One bit of a live flit, at equal occupancy.
+    noc::Network a(net);
+    noc::Network b(net);
+    noc::Flit flit;
+    flit.packet = 42;
+    a.router(idle->node).fifo(idle->port, idle->vc).push(flit);
+    flit.seq ^= 1;
+    b.router(idle->node).fifo(idle->port, idle->vc).push(flit);
+    EXPECT_FALSE(a.sameState(b));
+}
+
+TEST(StateEquality, StaleSlotsLogsStatisticsWiresAndCachesAreIgnored)
+{
+    const noc::Network net = warmNetwork();
+    const auto idle = findVc(net, /*empty=*/true);
+    ASSERT_TRUE(idle);
+
+    // A pushed-then-popped flit leaves a stale slot and a moved head.
+    noc::Network stale(net);
+    noc::VcFifo &fifo = stale.router(idle->node).fifo(idle->port, idle->vc);
+    noc::Flit flit;
+    flit.packet = 7;
+    fifo.push(flit);
+    fifo.pop();
+    EXPECT_TRUE(stale.sameState(net));
+
+    noc::Network cleared(net);
+    cleared.clearEjectionLogs();
+    EXPECT_TRUE(cleared.sameState(net));
+
+    // Dense rebuilds every wire record and caches no packed state;
+    // Bitmask skips the wires on its fast path and counts fewer
+    // evaluations. The machines still agree.
+    noc::Network dense(net);
+    noc::Network bitmask(net);
+    dense.setKernelMode(KernelMode::Dense);
+    dense.run(120);
+    bitmask.run(120);
+    EXPECT_NE(dense.routerEvaluations(), bitmask.routerEvaluations());
+    EXPECT_TRUE(dense.sameState(bitmask));
+}
+
+TEST(StateEquality, LinkComparesValidSidesOnly)
+{
+    noc::Link a;
+    noc::Link b;
+    b.recvFlit.packet = 9; // stale payload
+    b.sendFlit.seq = 3;
+    EXPECT_TRUE(a.sameState(b));
+    for (int field = 0; field < 5; ++field) {
+        noc::Link c = a;
+        switch (field) {
+          case 0: c.sendValid = true; break;
+          case 1: c.recvValid = true; break;
+          case 2: c.creditSend ^= 1; break;
+          case 3: c.creditRecv ^= 1; break;
+          default:
+            a.recvValid = c.recvValid = true;
+            c.recvFlit.seq ^= 1;
+        }
+        EXPECT_FALSE(c.sameState(a)) << "field " << field;
+    }
+}
+
+noc::Packet
+packet(noc::PacketId id, std::uint8_t msg_class, std::uint16_t length)
+{
+    noc::Packet pkt;
+    pkt.id = id;
+    pkt.src = 0;
+    pkt.dst = 5;
+    pkt.msgClass = msg_class;
+    pkt.length = length;
+    return pkt;
+}
+
+/** One NI cycle with nothing arriving. */
+void
+idleCycle(noc::NetworkInterface &ni, noc::Cycle cycle)
+{
+    noc::NetworkInterface::LinkIo io;
+    ni.evaluate(cycle, io);
+}
+
+/** One NI cycle ejecting @p flit. */
+void
+ejectCycle(noc::NetworkInterface &ni, noc::Cycle cycle,
+           const noc::Flit &flit)
+{
+    noc::NetworkInterface::LinkIo io;
+    io.inValid = true;
+    io.inFlit = flit;
+    ni.evaluate(cycle, io);
+}
+
+noc::Flit
+flitTo(noc::NodeId node, noc::PacketId id, std::uint16_t seq,
+       noc::FlitType type)
+{
+    noc::Flit flit;
+    flit.packet = id;
+    flit.seq = seq;
+    flit.type = type;
+    flit.src = 3;
+    flit.dst = node;
+    flit.msgClass = 1;
+    return flit;
+}
+
+TEST(StateEquality, EveryNetworkInterfaceComponentCounts)
+{
+    const noc::NetworkConfig config;
+    noc::NetworkInterface ni(config, 0);
+    ni.enqueue(packet(1, 1, 5));
+    idleCycle(ni, 0); // streaming flit 0 of packet 1
+
+    noc::NetworkInterface queued = ni;
+    queued.enqueue(packet(2, 0, 1));
+    EXPECT_FALSE(queued.sameState(ni));
+
+    noc::NetworkInterface credited = ni;
+    for (unsigned v = 0; v < config.router.numVcs; ++v)
+        credited.restoreCredits(v, 1); // only the stream VC is short
+    EXPECT_FALSE(credited.sameState(ni));
+
+    noc::NetworkInterface advanced = ni;
+    idleCycle(advanced, 1); // flit 1 of the stream
+    EXPECT_FALSE(advanced.sameState(ni));
+
+    noc::NetworkInterface reassembling = ni;
+    ejectCycle(reassembling, 1, flitTo(0, 77, 0, noc::FlitType::Head));
+    EXPECT_FALSE(reassembling.sameState(ni));
+
+    // A finished one-flit stream whose credit came back differs from
+    // a fresh NI only in the class round-robin.
+    const noc::NetworkInterface fresh(config, 0);
+    noc::NetworkInterface rotated = fresh;
+    rotated.enqueue(packet(3, 0, 1));
+    idleCycle(rotated, 0);
+    for (unsigned v = 0; v < config.router.numVcs; ++v)
+        rotated.restoreCredits(v, 1);
+    EXPECT_FALSE(rotated.sameState(fresh));
+
+    noc::NetworkConfig retransmit = config;
+    retransmit.retransmit.enabled = true;
+    noc::NetworkInterface sink(retransmit, 0);
+    noc::NetworkInterface delivered = sink;
+    noc::Flit single = flitTo(0, 78, 0, noc::FlitType::HeadTail);
+    single.msgClass = 0;
+    ejectCycle(delivered, 1, single); // delivered set, ACK count, ACK
+    EXPECT_FALSE(delivered.sameState(sink));
+}
+
+TEST(StateEquality, IdleStreamRegistersAndPlainDirtyBitAreIgnored)
+{
+    // Two finished single-flit streams leave different stale stream
+    // registers; nothing reads them until the next stream starts.
+    const noc::NetworkConfig config;
+    noc::NetworkInterface a(config, 0);
+    noc::NetworkInterface b(config, 0);
+    a.enqueue(packet(1, 0, 1));
+    b.enqueue(packet(2, 0, 1));
+    idleCycle(a, 0);
+    idleCycle(b, 0);
+    EXPECT_TRUE(a.sameState(b));
+
+    // Without retransmission the dirty bit is write-only.
+    noc::NetworkInterface clean(config, 0);
+    noc::NetworkInterface dirty(config, 0);
+    for (noc::NetworkInterface *ni : {&clean, &dirty})
+        ejectCycle(*ni, 0, flitTo(0, 10, 0, noc::FlitType::Head));
+    ejectCycle(clean, 1, flitTo(0, 10, 1, noc::FlitType::Body));
+    ejectCycle(dirty, 1, flitTo(0, 11, 1, noc::FlitType::Body));
+    EXPECT_TRUE(clean.sameState(dirty));
+}
+
+TEST(StateEquality, WorkloadGeneratorComparesItsStreams)
+{
+    const noc::Network net = warmNetwork();
+    nocalert::traffic::WorkloadGenerator a = net.workload();
+    nocalert::traffic::WorkloadGenerator b = net.workload();
+    EXPECT_TRUE(a.sameState(b));
+    (void)b.generate(net.config(), 0, net.cycle());
+    EXPECT_FALSE(a.sameState(b));
+}
+
+TEST(StateEquality, ForeverStateTracksCountersAndNotifications)
+{
+    noc::Network net = warmNetwork();
+    forever::ForeverModel a(net, forever::ForeverConfig{}, false);
+    forever::ForeverModel b(net, forever::ForeverConfig{}, false);
+    EXPECT_TRUE(a.state() == b.state());
+
+    noc::NiWires eject;
+    eject.cycle = net.cycle();
+    eject.ejectValid = true;
+    b.observeNi(net.ni(2), eject);
+    EXPECT_FALSE(a.state() == b.state());
+
+    forever::ForeverModel c(net, forever::ForeverConfig{}, false);
+    noc::NiWires inject;
+    inject.cycle = net.cycle();
+    inject.injectValid = true;
+    inject.injectFlit = flitTo(9, 1, 0, noc::FlitType::Head);
+    c.observeNi(net.ni(2), inject);
+    EXPECT_FALSE(a.state() == c.state());
+}
+
+// ---------------------------------------------------------------------
+// Golden suffix
+// ---------------------------------------------------------------------
+
+noc::EjectionRecord
+record(noc::PacketId packet, std::uint16_t seq, noc::NodeId node,
+       noc::Cycle cycle)
+{
+    noc::EjectionRecord rec;
+    rec.cycle = cycle;
+    rec.node = node;
+    rec.flit.packet = packet;
+    rec.flit.seq = seq;
+    rec.flit.dst = node;
+    return rec;
+}
+
+std::vector<std::string>
+described(const GoldenComparison &comparison)
+{
+    std::vector<std::string> out;
+    for (const GoldenViolation &v : comparison.violations)
+        out.push_back(v.describe());
+    return out;
+}
+
+TEST(GoldenSuffix, SplicesGoldenRecordsAfterEachNode)
+{
+    const std::vector<noc::EjectionRecord> golden = {
+        record(1, 0, 2, 10), record(1, 1, 2, 30), record(2, 0, 5, 12),
+        record(3, 0, 5, 40), record(4, 0, 7, 50)};
+    std::vector<GoldenReference::Checkpoint> checkpoints;
+    checkpoints.push_back(
+        {noc::Network(noc::NetworkConfig{}, noc::TrafficSpec{}),
+         std::nullopt});
+    const GoldenReference reference(golden, std::move(checkpoints), {});
+
+    // Stopped at cycle 25, having delivered flit (4, 0) early at the
+    // wrong node 3: the full run's node-ordered log meets that copy
+    // first, so it is the wrong-destination one and golden's own
+    // delivery at node 7 is the duplicate.
+    const std::vector<noc::EjectionRecord> so_far = {
+        record(1, 0, 2, 10), record(4, 0, 3, 20), record(2, 0, 5, 12)};
+    const std::vector<noc::EjectionRecord> full = {
+        record(1, 0, 2, 10), record(1, 1, 2, 30), record(4, 0, 3, 20),
+        record(2, 0, 5, 12), record(3, 0, 5, 40), record(4, 0, 7, 50)};
+    const GoldenComparison stopped = reference.compare(so_far, true, 25);
+    EXPECT_EQ(described(stopped), described(reference.compare(full, true)));
+    ASSERT_EQ(stopped.violations.size(), 2u);
+    EXPECT_EQ(stopped.violations[0].type,
+              GoldenViolation::Type::WrongDestination);
+    EXPECT_EQ(stopped.violations[1].type, GoldenViolation::Type::NewFlit);
+    EXPECT_EQ(reference.foreverAlarmFrom(0), std::nullopt);
+}
+
+// ---------------------------------------------------------------------
+// Differential battery
+// ---------------------------------------------------------------------
+
+/** A campaign shape with short horizons so the battery stays fast. */
+CampaignConfig
+battery(int mesh, noc::Cycle warmup)
+{
+    CampaignConfig config;
+    config.network.width = config.network.height = mesh;
+    config.workload.synthetic.injectionRate = 0.05;
+    config.workload.synthetic.seed = 11;
+    config.warmup = warmup;
+    config.observeWindow = 700;
+    config.drainLimit = 6000;
+    config.forever.epochLength = 300;
+    return normalizedCampaignConfig(config);
+}
+
+/** Golden's own log, replayed from the prepared warm snapshot. */
+GoldenReference
+bareReference(const CampaignConfig &config, const noc::Network &base)
+{
+    noc::Network golden(base);
+    golden.run(config.observeWindow);
+    EXPECT_TRUE(golden.drain(config.drainLimit));
+    return GoldenReference(golden.collectEjections());
+}
+
+struct Draw
+{
+    FaultSite site;
+    noc::Cycle offset = 0;
+};
+
+struct Tally
+{
+    std::size_t runs = 0;
+    std::size_t stopped = 0;
+    std::size_t foreverFromGolden = 0;
+};
+
+/**
+ * Run every draw on every kernel against both references and require
+ * identical records. Returns what the checkpointed runs did.
+ */
+Tally
+runBattery(const CampaignConfig &config, const std::vector<Draw> &draws,
+           bool sampled)
+{
+    const FaultCampaign::PreparedReference prepared =
+        FaultCampaign::prepareReference(config, config.workload.seed());
+    EXPECT_FALSE(prepared.golden.checkpoints().empty());
+    const GoldenReference bare = bareReference(config, prepared.base);
+    EXPECT_EQ(bare.flitCount(), prepared.golden.flitCount());
+
+    Tally tally;
+    for (const KernelMode mode :
+         {KernelMode::Dense, KernelMode::Active, KernelMode::Bitmask}) {
+        noc::Network base(prepared.base);
+        base.setKernelMode(mode);
+        for (const Draw &draw : draws) {
+            SCOPED_TRACE(draw.site.describe() + " +" +
+                         std::to_string(draw.offset) + " kernel " +
+                         std::to_string(static_cast<int>(mode)));
+            std::optional<noc::Cycle> stop;
+            std::optional<noc::Cycle> full_stop;
+            const FaultRunResult early = FaultCampaign::runSingle(
+                config, base, prepared.golden, draw.site, draw.offset,
+                &stop);
+            const FaultRunResult full = FaultCampaign::runSingle(
+                config, base, bare, draw.site, draw.offset, &full_stop);
+            EXPECT_FALSE(full_stop);
+            EXPECT_EQ(toJson(early, sampled).dump(),
+                      toJson(full, sampled).dump());
+            ++tally.runs;
+            if (!stop)
+                continue;
+            EXPECT_GT(*stop, early.injectCycle);
+            ++tally.stopped;
+            if (early.foreverDetected &&
+                early.injectCycle + early.foreverLatency >= *stop)
+                ++tally.foreverFromGolden;
+        }
+    }
+    return tally;
+}
+
+std::vector<Draw>
+siteDraws(const CampaignConfig &config, unsigned count)
+{
+    std::vector<Draw> draws;
+    for (const FaultSite &site : FaultSiteCatalog::sampleSites(
+             FaultSiteCatalog::enumerateNetwork(config.network), count,
+             config.sampleSeed))
+        draws.push_back({site, 0});
+    return draws;
+}
+
+TEST(EarlyExitDifferential, WarmSynthetic8x8)
+{
+    const CampaignConfig config = battery(8, 600);
+    const Tally tally = runBattery(config, siteDraws(config, 6), false);
+    EXPECT_GT(tally.stopped, 0u);
+}
+
+TEST(EarlyExitDifferential, ColdInstant)
+{
+    const CampaignConfig config = battery(4, 0);
+    const Tally tally = runBattery(config, siteDraws(config, 12), false);
+    EXPECT_GT(tally.stopped, 0u);
+}
+
+TEST(EarlyExitDifferential, PhasedWithBursts)
+{
+    CampaignConfig config = battery(4, 200);
+    ASSERT_EQ(nocalert::traffic::parsePhaseProgram(
+                  "0:200:uniform:0.06,200:400:transpose:0.1,"
+                  "400:600:hotspot:0.05:5:0.5",
+                  config.workload.phased),
+              "");
+    ASSERT_EQ(nocalert::traffic::parseBurstSpec(
+                  "64:0.5:2.0:0.25:2", config.workload.phased.burst),
+              "");
+    config.workload.phased.repeat = true;
+    config.workload.phased.seed = 13;
+    config.workload.kind = nocalert::traffic::WorkloadKind::Phased;
+    config.forever.epochLength = 150; // golden alarms twice
+    config = normalizedCampaignConfig(config);
+    const Tally tally = runBattery(config, siteDraws(config, 12), false);
+    EXPECT_GT(tally.stopped, 0u);
+    // ForEVeR fires fault-free under this load, so stopped runs take
+    // their detection from golden's alarm list.
+    EXPECT_GT(tally.foreverFromGolden, 0u);
+}
+
+TEST(EarlyExitDifferential, TraceReplay)
+{
+    CampaignConfig config = battery(4, 200);
+    config.workload.kind = nocalert::traffic::WorkloadKind::Trace;
+    config.workload.trace.path =
+        std::string(NOCALERT_TEST_DATA) + "/phased_4x4.trace";
+    config = normalizedCampaignConfig(config);
+    const Tally tally = runBattery(config, siteDraws(config, 12), false);
+    EXPECT_GT(tally.stopped, 0u);
+}
+
+TEST(EarlyExitDifferential, SampledWithCycleJitter)
+{
+    CampaignConfig config = battery(4, 200);
+    config.sampling.enabled = true;
+    config.sampling.stratify = Stratify::None;
+    config.sampling.maxRuns = 16;
+    config.sampling.batchSize = 16;
+    config.sampling.cycleJitter = 400; // some draws land past +256
+    config.sampling.samplerSeed = 3;
+    config = normalizedCampaignConfig(config);
+    SampledPlanner planner(config, sampledPopulation(config));
+    std::vector<Draw> draws;
+    for (const SampledDraw &draw : planner.planBatch())
+        draws.push_back({draw.site, draw.cycleOffset});
+    ASSERT_FALSE(draws.empty());
+    EXPECT_TRUE(std::any_of(draws.begin(), draws.end(), [](const Draw &d) {
+        return d.offset >= kCheckpointOffsets.back();
+    }));
+    const Tally tally = runBattery(config, draws, true);
+    EXPECT_GT(tally.stopped, 0u);
+}
+
+TEST(EarlyExit, OnlyPlainTransientCampaignsStopEarly)
+{
+    const CampaignConfig transient = battery(4, 200);
+    const FaultCampaign::PreparedReference prepared =
+        FaultCampaign::prepareReference(transient, 11);
+    ASSERT_FALSE(prepared.golden.checkpoints().empty());
+
+    CampaignConfig permanent = transient;
+    permanent.kind = FaultKind::Permanent;
+    CampaignConfig recovery = transient;
+    recovery.recovery = true;
+    recovery = normalizedCampaignConfig(recovery);
+    CampaignConfig retransmit = transient;
+    retransmit.network.retransmit.enabled = true;
+    for (const CampaignConfig &config : {permanent, recovery, retransmit})
+        EXPECT_TRUE(FaultCampaign::prepareReference(config, 11)
+                        .golden.checkpoints()
+                        .empty());
+    // Handed a checkpointed reference of the same mesh, a permanent or
+    // retransmitting run still goes the full length where the plain
+    // transient one stops.
+    std::size_t transient_stops = 0;
+    for (const Draw &draw : siteDraws(transient, 8)) {
+        std::optional<noc::Cycle> stop;
+        FaultCampaign::runSingle(transient, prepared.base, prepared.golden,
+                                 draw.site, 0, &stop);
+        if (!stop)
+            continue;
+        ++transient_stops;
+        for (const CampaignConfig *config : {&permanent, &retransmit}) {
+            FaultCampaign::runSingle(*config, prepared.base,
+                                     prepared.golden, draw.site, 0, &stop);
+            EXPECT_FALSE(stop) << draw.site.describe();
+        }
+    }
+    EXPECT_GT(transient_stops, 0u);
+}
+
+TEST(EarlyExit, NetworkMatchWithoutForeverMatchRunsOn)
+{
+    // Find a run whose network reaches a checkpoint's state while its
+    // ForEVeR counters remember the fault (a spurious SA2 grant whose
+    // stray read the network absorbs).
+    const CampaignConfig config = battery(4, 200);
+    const FaultCampaign::PreparedReference prepared =
+        FaultCampaign::prepareReference(config, config.workload.seed());
+    std::optional<FaultSite> found;
+    noc::Cycle at = 0;
+    for (const Draw &draw : siteDraws(config, 40)) {
+        noc::Network net(prepared.base);
+        forever::ForeverModel fever(net, config.forever, false);
+        net.setNiObserver([&](const noc::NetworkInterface &ni,
+                              const noc::NiWires &wires) {
+            fever.observeNi(ni, wires);
+        });
+        net.setCycleObserver(
+            [&](const noc::Network &n) { fever.onCycleEnd(n); });
+        FaultInjector injector;
+        injector.arm({draw.site, net.cycle(), config.kind});
+        injector.attach(net);
+        for (const GoldenReference::Checkpoint &cp :
+             prepared.golden.checkpoints()) {
+            net.run(cp.cycle() - net.cycle());
+            if (net.sameState(cp.network)) {
+                if (!(fever.state() == *cp.forever)) {
+                    found = draw.site;
+                    at = cp.cycle();
+                }
+                break;
+            }
+        }
+        if (found)
+            break;
+    }
+    ASSERT_TRUE(found) << "no run matched a checkpoint's network only";
+
+    std::optional<noc::Cycle> stop;
+    const FaultRunResult early = FaultCampaign::runSingle(
+        config, prepared.base, prepared.golden, *found, 0, &stop);
+    EXPECT_NE(stop, std::optional<noc::Cycle>(at)) << found->describe();
+    const GoldenReference bare = bareReference(config, prepared.base);
+    const FaultRunResult full =
+        FaultCampaign::runSingle(config, prepared.base, bare, *found);
+    EXPECT_EQ(toJson(early).dump(), toJson(full).dump());
+}
+
+} // namespace
+} // namespace nocalert::fault

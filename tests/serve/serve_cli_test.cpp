@@ -139,6 +139,25 @@ class ServeCli : public ::testing::Test
         return (dir_ / name).string();
     }
 
+    /**
+     * Start a second daemon with @p flags: it must exit 1 naming
+     * @p flag before it ever listens. `timeout` turns a daemon that
+     * wrongly starts into a failure instead of a hang.
+     */
+    void expectFlagRejected(const std::string &flags,
+                            const std::string &flag) const
+    {
+        const std::string socket = path("bad.sock");
+        const std::string launch =
+            "timeout 10 " + std::string(NOCALERT_SERVE_BIN) +
+            " --socket " + socket + " --cache " + path("bad-cache") + " " +
+            flags + " > " + path("bad.log") + " 2>&1";
+        EXPECT_EQ(exitStatus(launch), 1) << readFile(dir_ / "bad.log");
+        EXPECT_NE(readFile(dir_ / "bad.log").find(flag), std::string::npos)
+            << readFile(dir_ / "bad.log");
+        EXPECT_FALSE(fs::exists(socket));
+    }
+
     fs::path dir_;
     std::string socket_;
 };
@@ -216,6 +235,18 @@ TEST_F(ServeCli, ExitCodeContract)
                          " ping --socket " + path("nowhere.sock") +
                          " >/dev/null 2>&1"),
               3);
+}
+
+TEST_F(ServeCli, NegativeJobsIsRejectedBeforeListening)
+{
+    // Read as a signed integer, -1 used to become 2^32-1 workers and
+    // abort on the first submission.
+    expectFlagRejected("--jobs -1", "--jobs");
+}
+
+TEST_F(ServeCli, NegativeCacheBudgetIsRejectedBeforeListening)
+{
+    expectFlagRejected("--cache-max-bytes -1", "--cache-max-bytes");
 }
 
 TEST_F(ServeCli, ListAndStatusSeeASubmittedCampaign)
