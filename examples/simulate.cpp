@@ -8,6 +8,7 @@
  *
  *   ./simulate --mesh 8 --vcs 4 --routing xy --pattern uniform \
  *              --rate 0.05 --cycles 5000 \
+ *              [--kernel dense|active|bitmask] \
  *              [--fault r36:Sa2Grant:E:2] [--trace]
  *
  * Workload backends beyond the stationary synthetic default:
@@ -21,8 +22,13 @@
  *   --record-trace <file>           record this run's injections
  */
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/nocalert.hpp"
 #include "fault/flags.hpp"
@@ -77,49 +83,66 @@ parsePattern(const std::string &name)
     NOCALERT_FATAL("unknown pattern '", name, "'");
 }
 
-int
-parsePort(const std::string &name)
-{
-    for (int p = 0; p < noc::kNumPorts; ++p)
-        if (name == noc::portName(p))
-            return p;
-    NOCALERT_FATAL("unknown port '", name, "' (N, E, S, W, L)");
-}
-
-/** Parse "r<router>:<SignalClass>:<port>:<bit>[:vc]". */
+/**
+ * Parse "r<router>:<SignalClass>:<port>:<bit>[:vc]". Every field must
+ * parse whole, and the site must be one that
+ * FaultSiteCatalog::enumerateRouter lists for that router (the
+ * population campaigns draw from), so a fault that cannot be injected
+ * is an error, not a benign-looking run.
+ */
 fault::FaultSite
-parseFault(const std::string &spec)
+parseFault(const noc::NetworkConfig &config, const std::string &spec)
 {
-    std::vector<std::string> parts;
-    std::string current;
+    std::vector<std::string> parts(1);
     for (char ch : spec) {
-        if (ch == ':') {
-            parts.push_back(current);
-            current.clear();
-        } else {
-            current += ch;
-        }
+        if (ch == ':')
+            parts.emplace_back();
+        else
+            parts.back() += ch;
     }
-    parts.push_back(current);
-    if (parts.size() < 4 || parts[0].size() < 2 || parts[0][0] != 'r')
-        NOCALERT_FATAL("fault spec must be r<router>:<Signal>:<port>:"
-                       "<bit>[:vc], got '", spec, "'");
+    if (parts.size() < 4 || parts.size() > 5 || parts[0].empty() ||
+        parts[0][0] != 'r')
+        NOCALERT_FATAL("--fault expects r<router>:<Signal>:<port>:<bit>"
+                       "[:vc], got '", spec, "'");
+    const auto number = [&spec](std::string_view text) {
+        int value = -1;
+        const auto [end, error] =
+            std::from_chars(text.data(), text.data() + text.size(), value);
+        if (error != std::errc() || end != text.data() + text.size() ||
+            value < 0)
+            NOCALERT_FATAL("--fault '", spec, "': '", text,
+                           "' is not a non-negative integer");
+        return value;
+    };
 
-    fault::FaultSite site;
-    site.router = std::stoi(parts[0].substr(1));
-    site.port = parsePort(parts[2]);
-    site.bit = static_cast<unsigned>(std::stoul(parts[3]));
-    site.vc = parts.size() > 4 ? std::stoi(parts[4]) : -1;
+    const int router = number(std::string_view(parts[0]).substr(1));
+    if (router >= config.numNodes())
+        NOCALERT_FATAL("--fault '", spec, "': router ", router,
+                       " is outside the ", config.width, "x",
+                       config.height, " mesh");
+    const std::optional<fault::SignalClass> signal =
+        fault::signalClassFromName(parts[1]);
+    if (!signal)
+        NOCALERT_FATAL("--fault '", spec, "': unknown signal class '",
+                       parts[1], "'");
+    int port = 0;
+    while (port < noc::kNumPorts && parts[2] != noc::portName(port))
+        ++port;
+    if (port == noc::kNumPorts)
+        NOCALERT_FATAL("--fault '", spec, "': unknown port '", parts[2],
+                       "' (N, E, S, W, L)");
 
-    for (int c = 0; c <= static_cast<int>(
-             fault::SignalClass::StSchedOutVc); ++c) {
-        const auto cls = static_cast<fault::SignalClass>(c);
-        if (parts[1] == fault::signalClassName(cls)) {
-            site.signal = cls;
-            return site;
-        }
-    }
-    NOCALERT_FATAL("unknown signal class '", parts[1], "'");
+    const fault::FaultSite site{
+        router, *signal, port, parts.size() > 4 ? number(parts[4]) : -1,
+        static_cast<unsigned>(number(parts[3]))};
+    const std::vector<fault::FaultSite> sites =
+        fault::FaultSiteCatalog::enumerateRouter(config, site.router);
+    if (std::find(sites.begin(), sites.end(), site) == sites.end())
+        NOCALERT_FATAL("--fault '", spec, "' is not a fault site of "
+                       "router ", router, ": check the port, the bit "
+                       "range and the vc (given exactly for per-VC "
+                       "classes)");
+    return site;
 }
 
 } // namespace
@@ -132,7 +155,7 @@ main(int argc, char **argv)
                         {"mesh", "width", "height", "vcs", "depth",
                          "routing", "pattern", "rate", "cycles", "seed",
                          "fault", "kind", "trace", "non-atomic",
-                         "speculative", "dense-kernel", "kernel",
+                         "speculative", "kernel",
                          "record-trace"}));
 
     noc::NetworkConfig config;
@@ -181,11 +204,8 @@ main(int argc, char **argv)
     }
 
     noc::Network network(config, workload);
-    // --kernel dense|active|bitmask selects the simulation kernel;
-    // --dense-kernel is the historical spelling of --kernel dense.
-    const std::string kernel = cli.getBool("dense-kernel", false)
-                                   ? "dense"
-                                   : cli.getString("kernel", "bitmask");
+    // --kernel dense|active|bitmask selects the simulation kernel.
+    const std::string kernel = cli.getString("kernel", "bitmask");
     if (kernel == "dense")
         network.setKernelMode(noc::KernelMode::Dense);
     else if (kernel == "active")
@@ -212,7 +232,7 @@ main(int argc, char **argv)
     const bool tracing = cli.getBool("trace", false);
     if (cli.has("fault")) {
         const fault::FaultSite site =
-            parseFault(cli.getString("fault", ""));
+            parseFault(config, cli.getString("fault", ""));
         fault::FaultKind kind = fault::FaultKind::Transient;
         const std::string kind_name = cli.getString("kind", "transient");
         if (kind_name == "permanent")

@@ -3,9 +3,15 @@
 
 Compares a freshly measured micro_kernel sweep against the committed
 baseline sweep rate by rate. Raw wall-clock numbers are useless across
-CI machines, so the gate compares *speedup ratios* — active-vs-dense
-("speedup") and bitmask-vs-active ("bitmaskSpeedup") — which are
-dimensionless and measured within a single process on one machine.
+CI machines, so the gate compares *speedup ratios*, which are
+dimensionless and measured within a single process on one machine:
+
+  * "speedup" (active vs dense) isolates the active-set scheduler:
+    both kernels evaluate routers on the branchy pipeline, and Active
+    skips what the scheduler proves idle;
+  * "bitmaskSpeedup" (bitmask vs active) isolates the packed fast
+    path: Active and Bitmask share one scheduler and evaluate the
+    same routers, so the ratio is per-evaluation cost alone.
 
 The gate fails when:
   * any kernel pair ever disagreed ("identical" false anywhere), or

@@ -478,6 +478,19 @@ FaultCampaign::prepareReference(const CampaignConfig &config,
                             std::move(checkpoints), std::move(alarms))};
 }
 
+std::vector<FaultSite>
+enumerateCampaignSites(const CampaignConfig &config)
+{
+    std::vector<FaultSite> sites =
+        FaultSiteCatalog::enumerateNetwork(config.network);
+    if (config.wireSitesOnly) {
+        std::erase_if(sites, [](const FaultSite &site) {
+            return isStateSignal(site.signal);
+        });
+    }
+    return sites;
+}
+
 namespace {
 
 /** Load this campaign's checkpoint document, if any, after validating
@@ -510,84 +523,75 @@ loadCheckpointDocument(const CampaignConfig &config)
     return checkpoint;
 }
 
-/** Restore completed exhaustive runs from a checkpoint, validating
- *  them against the deterministic site list. */
-std::unordered_map<std::size_t, FaultRunResult>
-restoreCheckpoint(const CampaignConfig &config,
-                  const std::vector<FaultSite> &sites)
-{
-    std::unordered_map<std::size_t, FaultRunResult> restored;
-    auto checkpoint = loadCheckpointDocument(config);
-    if (!checkpoint)
-        return restored;
-    for (FaultRunResult &run : checkpoint->runs) {
-        if (run.sampleIndex >= sites.size() ||
-            !(sites[run.sampleIndex] == run.site)) {
-            NOCALERT_FATAL("checkpoint '", config.checkpointPath,
-                           "' does not match the sampled site list");
-        }
-        restored.emplace(run.sampleIndex, std::move(run));
-    }
-    return restored;
-}
-
 } // namespace
 
 CampaignResult
 FaultCampaign::run(const Progress &progress, const RunOptions &options)
 {
-    if (config_.sampling.enabled)
-        return runSampled(progress, options);
-
+    const bool sampled = config_.sampling.enabled;
     CampaignResult result;
     result.config = config_;
 
-    // ---- Warm snapshot + golden reference ----
-    const PreparedReference prepared =
-        prepareReference(config_, config_.workload.seed());
-    const noc::Network &base = prepared.base;
-    const GoldenReference &reference = prepared.golden;
-    result.goldenFlits = reference.flitCount();
+    // ---- References: one warm snapshot + golden per traffic seed ----
+    const unsigned seeds = sampled ? config_.sampling.seedCount : 1;
+    std::vector<PreparedReference> prepared;
+    prepared.reserve(seeds);
+    for (unsigned k = 0; k < seeds; ++k)
+        prepared.push_back(
+            prepareReference(config_, config_.workload.seed() + k));
+    result.goldenFlits = prepared.front().golden.flitCount();
 
-    // ---- Site selection ----
-    std::vector<FaultSite> population =
-        FaultSiteCatalog::enumerateNetwork(config_.network);
-    if (config_.wireSitesOnly) {
-        std::erase_if(population, [](const FaultSite &site) {
-            return isStateSignal(site.signal);
-        });
-    }
-    result.totalSitesEnumerated = population.size();
-    const std::vector<FaultSite> sites = FaultSiteCatalog::sampleSites(
-        std::move(population), config_.maxSites, config_.sampleSeed);
-
-    // ---- Shard selection ----
-    // A shard owns the sampled indices congruent to its shardIndex;
-    // the subset depends only on the deterministic sample order, so N
-    // shards partition exactly an unsharded run's work.
-    std::vector<std::size_t> shard_indices;
-    for (std::size_t i = config_.shardIndex; i < sites.size();
-         i += config_.shardCount)
-        shard_indices.push_back(i);
-    result.shardRunsPlanned = shard_indices.size();
+    // ---- Site list ----
+    // totalSitesEnumerated counts the full (pre-truncation) surface.
+    std::vector<FaultSite> sites = enumerateCampaignSites(config_);
+    result.totalSitesEnumerated = sites.size();
+    sites = FaultSiteCatalog::sampleSites(std::move(sites), config_.maxSites,
+                                          config_.sampleSeed);
 
     // ---- Resume ----
-    std::unordered_map<std::size_t, FaultRunResult> done_runs =
-        restoreCheckpoint(config_, sites);
-
-    std::vector<std::size_t> todo;
-    for (std::size_t index : shard_indices) {
-        if (!done_runs.count(index))
-            todo.push_back(index);
+    // Every exhaustive run must sit at its own site-list entry; a
+    // sampled run is checked against its replayed draw below.
+    std::unordered_map<std::size_t, FaultRunResult> done_runs;
+    if (auto checkpoint = loadCheckpointDocument(config_)) {
+        for (FaultRunResult &run : checkpoint->runs) {
+            if (!sampled && (run.sampleIndex >= sites.size() ||
+                             !(sites[run.sampleIndex] == run.site))) {
+                NOCALERT_FATAL("checkpoint '", config_.checkpointPath,
+                               "' does not match the sampled site list");
+            }
+            done_runs.emplace(run.sampleIndex, std::move(run));
+        }
     }
-    if (options.maxNewRuns != 0 && todo.size() > options.maxNewRuns)
-        todo.resize(options.maxNewRuns);
+    const std::size_t restored_count = done_runs.size();
 
-    // ---- Fault runs ----
+    // ---- Plan ----
+    // An exhaustive shard is a single batch: the site-list indices
+    // congruent to its shardIndex (so N shards partition exactly an
+    // unsharded run's work), each a draw at offset 0 on the first
+    // traffic seed in stratum 0. A sampled campaign runs the planner's
+    // batches until the sampler stops.
+    std::optional<SampledPlanner> planner;
+    std::vector<SampledDraw> batch;
+    if (sampled) {
+        planner.emplace(config_, sites);
+    } else {
+        for (std::size_t i = config_.shardIndex; i < sites.size();
+             i += config_.shardCount) {
+            SampledDraw draw;
+            draw.drawIndex = i;
+            draw.site = sites[i];
+            batch.push_back(draw);
+        }
+    }
+    std::size_t planned = batch.size();
+    bool finished = false;
+
     auto snapshot = [&]() {
         // Completed runs in global order — the checkpoint and the
         // final result, independent of thread completion order.
         CampaignResult partial = result;
+        partial.shardRunsPlanned = planned;
+        partial.samplerDone = finished;
         partial.runs.clear(); // result may already hold a snapshot
         partial.runs.reserve(done_runs.size());
         for (const auto &[index, run] : done_runs)
@@ -605,167 +609,40 @@ FaultCampaign::run(const Progress &progress, const RunOptions &options)
             NOCALERT_FATAL("checkpoint write failed: ", error);
     };
 
-    std::size_t completed = done_runs.size();
     std::size_t since_checkpoint = 0;
     const unsigned checkpoint_every = std::max(1u, config_.checkpointEvery);
-
-    exec::CampaignExecutor executor(exec::ExecConfig{
-        config_.jobs, config_.workload.seed(), config_.sampleSeed});
-    exec::TelemetryHub hub(shard_indices.size(), executor.jobs(),
-                           kHubLabels);
-    for (const auto &[index, run] : done_runs)
-        hub.recordRun(static_cast<unsigned>(run.outcome()));
-
-    try {
-        executor.run<FaultRunResult>(
-            todo.size(),
-            [&](exec::TaskContext &ctx) {
-                // ctx.rng is this run's private derived stream; the
-                // simulation needs no extra randomness (per-node
-                // traffic streams are derived inside the network
-                // copy), so today it intentionally goes unused.
-                const std::size_t index = todo[ctx.index];
-                std::optional<noc::Cycle> stop;
-                FaultRunResult run = runSingle(config_, base, reference,
-                                               sites[index], 0, &stop);
-                if (stop)
-                    hub.bump(kStopSlot);
-                run.sampleIndex = index;
-                return run;
-            },
-            [&](std::size_t, FaultRunResult &&run) {
-                // Ordered commit: the reducer delivers runs in
-                // increasing todo position (hence sampleIndex),
-                // serialized under its lock, so done_runs, every
-                // checkpoint flush, progress and telemetry evolve
-                // identically for any jobs count.
-                hub.recordRun(static_cast<unsigned>(run.outcome()));
-                done_runs.emplace(run.sampleIndex, std::move(run));
-                ++completed;
-                if (!config_.checkpointPath.empty() &&
-                    ++since_checkpoint >= checkpoint_every) {
-                    since_checkpoint = 0;
-                    writeCheckpoint();
-                }
-                if (progress)
-                    progress(completed, shard_indices.size());
-                if (options.telemetry)
-                    options.telemetry(hub.snapshot());
-            },
-            options.cancel, &hub);
-    } catch (const exec::TaskError &error) {
-        // One failing run aborts the campaign, but cleanly: flush the
-        // committed prefix so nothing is lost, then name the site.
-        if (!config_.checkpointPath.empty())
-            writeCheckpoint();
-        const std::size_t index = todo[error.taskIndex()];
-        NOCALERT_FATAL("campaign run ", index, " (",
-                       sites[index].describe(),
-                       ") failed: ", error.what());
-    }
-
-    result = snapshot();
-    if (!config_.checkpointPath.empty())
-        writeCheckpoint();
-    return result;
-}
-
-CampaignResult
-FaultCampaign::runSampled(const Progress &progress,
-                          const RunOptions &options)
-{
-    CampaignResult result;
-    result.config = config_;
-
-    // ---- Population ----
-    // totalSitesEnumerated keeps its exhaustive meaning: the full
-    // enumerated (pre-truncation) site count for this config.
-    {
-        std::vector<FaultSite> enumerated =
-            FaultSiteCatalog::enumerateNetwork(config_.network);
-        if (config_.wireSitesOnly) {
-            std::erase_if(enumerated, [](const FaultSite &site) {
-                return isStateSignal(site.signal);
-            });
-        }
-        result.totalSitesEnumerated = enumerated.size();
-    }
-    SampledPlanner planner(config_, sampledPopulation(config_));
-
-    // ---- References: one warm snapshot + golden per traffic seed ----
-    std::vector<PreparedReference> prepared;
-    prepared.reserve(config_.sampling.seedCount);
-    for (unsigned k = 0; k < config_.sampling.seedCount; ++k)
-        prepared.push_back(
-            prepareReference(config_, config_.workload.seed() + k));
-    result.goldenFlits = prepared.front().golden.flitCount();
-
-    // ---- Resume ----
-    // Resume is replay: the planner regenerates the exact batch
-    // sequence and checkpointed draws are fed back to it (validated
-    // one by one below) instead of being simulated again.
-    std::unordered_map<std::size_t, FaultRunResult> done_runs;
-    if (auto checkpoint = loadCheckpointDocument(config_)) {
-        for (FaultRunResult &run : checkpoint->runs)
-            done_runs.emplace(run.sampleIndex, std::move(run));
-    }
-    const std::size_t restored_count = done_runs.size();
-
-    bool finished = false;
-    auto snapshot = [&]() {
-        CampaignResult partial = result;
-        partial.shardRunsPlanned = planner.drawsPlanned();
-        partial.samplerDone = finished;
-        partial.runs.clear();
-        partial.runs.reserve(done_runs.size());
-        for (const auto &[index, run] : done_runs)
-            partial.runs.push_back(run);
-        std::sort(partial.runs.begin(), partial.runs.end(),
-                  [](const FaultRunResult &a, const FaultRunResult &b) {
-                      return a.sampleIndex < b.sampleIndex;
-                  });
-        return partial;
-    };
-    auto writeCheckpoint = [&]() {
-        std::string error;
-        if (!saveCampaignResult(snapshot(), config_.checkpointPath,
-                                &error))
-            NOCALERT_FATAL("checkpoint write failed: ", error);
-    };
-
-    std::size_t completed = done_runs.size();
-    std::size_t since_checkpoint = 0;
-    const unsigned checkpoint_every =
-        std::max(1u, config_.checkpointEvery);
     std::size_t fresh = 0;
     std::size_t replayed = 0;
 
     exec::CampaignExecutor executor(exec::ExecConfig{
         config_.jobs, config_.workload.seed(),
-        config_.sampling.samplerSeed});
-    exec::TelemetryHub hub(0, executor.jobs(), kHubLabels);
+        sampled ? config_.sampling.samplerSeed : config_.sampleSeed});
+    exec::TelemetryHub hub(planned, executor.jobs(), kHubLabels);
     for (const auto &[index, run] : done_runs)
         hub.recordRun(static_cast<unsigned>(run.outcome()));
 
     while (true) {
-        // Stop before planning a batch that could not execute anyway:
-        // the run limit is spent and every checkpointed draw has been
-        // replayed into the sampler.
-        if (options.maxNewRuns != 0 && fresh >= options.maxNewRuns &&
-            replayed == restored_count)
-            break;
-
-        std::vector<SampledDraw> batch = planner.planBatch();
-        if (batch.empty()) {
-            finished = true;
-            break;
+        if (planner) {
+            // Stop before planning a batch that could not execute
+            // anyway: the run limit is spent and every checkpointed
+            // draw has been replayed into the sampler.
+            if (options.maxNewRuns != 0 && fresh >= options.maxNewRuns &&
+                replayed == restored_count)
+                break;
+            batch = planner->planBatch();
+            if (batch.empty()) {
+                finished = true;
+                break;
+            }
+            planned = planner->drawsPlanned();
+            hub.setRunsPlanned(planned);
         }
-        hub.setRunsPlanned(planner.drawsPlanned());
 
-        // Replay first: checkpointed draws feed the sampler exactly
-        // as they did originally; the remainder is fresh work. The
-        // checkpoint holds a contiguous draw prefix, so restored
-        // entries always precede fresh ones within a batch.
+        // Resume is replay: checkpointed draws feed the sampler exactly
+        // as they did originally (validated one by one) instead of
+        // being simulated again; the remainder is fresh work. A
+        // sampled checkpoint holds a contiguous draw prefix, so
+        // restored entries always precede fresh ones within a batch.
         std::vector<SampledDraw> todo;
         for (const SampledDraw &draw : batch) {
             auto it = done_runs.find(draw.drawIndex);
@@ -773,6 +650,8 @@ FaultCampaign::runSampled(const Progress &progress,
                 todo.push_back(draw);
                 continue;
             }
+            if (!planner)
+                continue;
             const FaultRunResult &run = it->second;
             if (!(run.site == draw.site) ||
                 run.stratum != draw.stratum ||
@@ -781,7 +660,7 @@ FaultCampaign::runSampled(const Progress &progress,
                                "' does not match the sampled draw "
                                "stream at draw ", draw.drawIndex);
             }
-            planner.record(run);
+            planner->record(run);
             ++replayed;
         }
 
@@ -802,9 +681,11 @@ FaultCampaign::runSampled(const Progress &progress,
                 cancelled = !executor.run<FaultRunResult>(
                     todo.size(),
                     [&](exec::TaskContext &ctx) {
-                        // As in the exhaustive planner, ctx.rng goes
-                        // unused: every sampled coordinate was fixed
-                        // when the draw was materialized.
+                        // ctx.rng is this run's private derived stream;
+                        // it goes unused: every coordinate of a run was
+                        // fixed when its draw was planned, and per-node
+                        // traffic streams are derived inside the
+                        // network copy.
                         const SampledDraw &draw = todo[ctx.index];
                         const PreparedReference &ref =
                             prepared[draw.seedIndex];
@@ -820,17 +701,19 @@ FaultCampaign::runSampled(const Progress &progress,
                         return run;
                     },
                     [&](std::size_t, FaultRunResult &&run) {
-                        // Ordered commit under the reducer lock, as in
-                        // the exhaustive planner; the sampler sees
-                        // this batch's outcomes only as aggregates at
-                        // the next planBatch, so commit order cannot
-                        // influence planning anyway.
+                        // Ordered commit: the reducer delivers runs in
+                        // increasing todo position (hence sampleIndex),
+                        // serialized under its lock, so done_runs,
+                        // every checkpoint flush, progress and
+                        // telemetry evolve identically for any jobs
+                        // count. The sampler sees a batch's outcomes
+                        // only as aggregates at the next planBatch.
                         hub.recordRun(
                             static_cast<unsigned>(run.outcome()));
-                        planner.record(run);
+                        if (planner)
+                            planner->record(run);
                         done_runs.emplace(run.sampleIndex,
                                           std::move(run));
-                        ++completed;
                         ++fresh;
                         if (!config_.checkpointPath.empty() &&
                             ++since_checkpoint >= checkpoint_every) {
@@ -838,21 +721,24 @@ FaultCampaign::runSampled(const Progress &progress,
                             writeCheckpoint();
                         }
                         if (progress)
-                            progress(completed, planner.drawsPlanned());
+                            progress(done_runs.size(), planned);
                         if (options.telemetry)
                             options.telemetry(hub.snapshot());
                     },
                     options.cancel, &hub);
             } catch (const exec::TaskError &error) {
+                // One failing run aborts the campaign, but cleanly:
+                // flush the committed prefix so nothing is lost, then
+                // name the site.
                 if (!config_.checkpointPath.empty())
                     writeCheckpoint();
                 const SampledDraw &draw = todo[error.taskIndex()];
-                NOCALERT_FATAL("sampled run ", draw.drawIndex, " (",
-                               draw.site.describe(),
+                NOCALERT_FATAL(sampled ? "sampled" : "campaign", " run ",
+                               draw.drawIndex, " (", draw.site.describe(),
                                ") failed: ", error.what());
             }
         }
-        if (cancelled || limited)
+        if (!planner || cancelled || limited)
             break;
     }
 
@@ -860,7 +746,7 @@ FaultCampaign::runSampled(const Progress &progress,
     // A valid sampled result is a contiguous draw prefix; a doctored
     // checkpoint with gaps or out-of-stream indices must not survive
     // into the artifact unnoticed.
-    for (std::size_t i = 0; i < result.runs.size(); ++i) {
+    for (std::size_t i = 0; sampled && i < result.runs.size(); ++i) {
         if (result.runs[i].sampleIndex != i) {
             NOCALERT_FATAL("checkpoint '", config_.checkpointPath,
                            "' is not a contiguous sampled draw prefix");

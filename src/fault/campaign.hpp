@@ -83,7 +83,7 @@ std::optional<Stratify> stratifyFromName(std::string_view name);
  */
 struct SamplingSpec
 {
-    /** Master switch; false leaves the exhaustive planner in charge. */
+    /** Master switch; false runs every site of the list once. */
     bool enabled = false;
 
     /** Stratum partition of the draw space. */
@@ -211,12 +211,12 @@ struct CampaignConfig
 
     /**
      * Statistical sampling mode (schema v5). When enabled, the
-     * sampled planner replaces the exhaustive one: runs are drawn
-     * with replacement from the same deterministic site list the
-     * exhaustive campaign would sweep, batch by batch, with adaptive
-     * stopping. Part of the campaign identity. Sampled campaigns are
-     * single-shard (the dynamic run stream has no static partition);
-     * shardCount > 1 is rejected.
+     * sampled planner's batches replace the exhaustive sweep: runs
+     * are drawn with replacement from the same deterministic site
+     * list the exhaustive campaign would sweep, batch by batch, with
+     * adaptive stopping. Part of the campaign identity. Sampled
+     * campaigns are single-shard (the dynamic run stream has no
+     * static partition); shardCount > 1 is rejected.
      */
     SamplingSpec sampling;
 
@@ -393,6 +393,13 @@ CampaignTelemetry computeTelemetry(const CampaignResult &result);
 CampaignConfig normalizedCampaignConfig(CampaignConfig config);
 
 /**
+ * Every fault site of the campaign's network in enumeration order,
+ * without the architectural-register classes under wireSitesOnly:
+ * the surface the maxSites site list is sampled from.
+ */
+std::vector<FaultSite> enumerateCampaignSites(const CampaignConfig &config);
+
+/**
  * Offsets past the warm instant at which golden preparation
  * checkpoints the golden run for early exit (DESIGN.md §16).
  * Offsets beyond the observe window are not recorded.
@@ -436,7 +443,12 @@ class FaultCampaign
 
     explicit FaultCampaign(CampaignConfig config);
 
-    /** Execute this shard of the campaign (resuming any checkpoint). */
+    /**
+     * Execute this shard of the campaign (resuming any checkpoint).
+     * Both planners share one loop: an exhaustive shard runs as a
+     * single batch of its unfinished site-list indices, a sampled
+     * campaign as the SampledPlanner's batches.
+     */
     CampaignResult run(const Progress &progress = nullptr)
     {
         return run(progress, RunOptions{});
@@ -475,10 +487,11 @@ class FaultCampaign
      * A transient run without recovery or retransmission stops at
      * the first checkpoint of @p golden after its injection cycle
      * whose network and ForEVeR state it equals exactly: from there
-     * on it would be the golden run. The result is the full run's, field for field (its
-     * alerts so far, golden's ForEVeR alarms and ejections from the
-     * stop on, drained). A reference built from a bare log has no
-     * checkpoints, so runs against it simulate their full horizon.
+     * on it would be the golden run. The result is the full run's,
+     * field for field (its alerts so far, golden's ForEVeR alarms and
+     * ejections from the stop on, drained). A reference built from a
+     * bare log has no checkpoints, so runs against it simulate their
+     * full horizon.
      * When @p stopped_at is non-null it receives the stop cycle, or
      * nullopt for a full-length run.
      */
@@ -489,9 +502,6 @@ class FaultCampaign
         std::optional<noc::Cycle> *stopped_at = nullptr);
 
   private:
-    CampaignResult runSampled(const Progress &progress,
-                              const RunOptions &options);
-
     CampaignConfig config_;
 };
 

@@ -214,19 +214,12 @@ SampledPlanner::record(const FaultRunResult &run)
 std::vector<FaultSite>
 sampledPopulation(const CampaignConfig &config)
 {
-    std::vector<FaultSite> population =
-        FaultSiteCatalog::enumerateNetwork(config.network);
-    if (config.wireSitesOnly) {
-        std::erase_if(population, [](const FaultSite &site) {
-            return isStateSignal(site.signal);
-        });
-    }
-    // Identical truncation to the exhaustive planner: the sampled
+    // Identical truncation to the exhaustive sweep: the sampled
     // population IS the site list an exhaustive campaign with this
     // config would sweep, so exhaustive ground truth and sampled
     // estimates speak about the same finite population.
-    return FaultSiteCatalog::sampleSites(
-        std::move(population), config.maxSites, config.sampleSeed);
+    return FaultSiteCatalog::sampleSites(enumerateCampaignSites(config),
+                                         config.maxSites, config.sampleSeed);
 }
 
 namespace {

@@ -1,19 +1,19 @@
 /**
  * @file
- * The sampled-campaign planner — the statistical sibling of the
- * exhaustive shard planner in FaultCampaign::run.
+ * The sampled-campaign planner: the batch source of
+ * FaultCampaign::run in sampling mode.
  *
- * Where the exhaustive planner enumerates the site list once and
- * partitions it over shards, the sampled planner draws (site,
- * injection-cycle offset, traffic seed) tuples *with replacement*
- * from the same deterministic site list, stratified (by signal class
- * by default), in batches sized by the stats::StratifiedSampler. Each
- * draw's coordinates are materialized from a counter-mode RNG stream
- * keyed by the global draw index, and every batch is fully planned
- * before any outcome of that batch is consulted, so the entire run
- * stream — and therefore the artifact — is a pure function of the
- * campaign configuration. Resume is replay: the planner regenerates
- * the same batches and a checkpoint simply pre-fills their results.
+ * Where an exhaustive campaign runs its site list once, as one batch
+ * per shard, the sampled planner draws (site, injection-cycle offset,
+ * traffic seed) tuples *with replacement* from the same deterministic
+ * site list, stratified (by signal class by default), in batches
+ * sized by the stats::StratifiedSampler. Each draw's coordinates are
+ * materialized from a counter-mode RNG stream keyed by the global
+ * draw index, and every batch is fully planned before any outcome of
+ * that batch is consulted, so the entire run stream — and therefore
+ * the artifact — is a pure function of the campaign configuration.
+ * Resume is replay: the planner regenerates the same batches and a
+ * checkpoint simply pre-fills their results.
  *
  * The report side (SamplingReport / computeSamplingReport) is a pure
  * function of a result's committed runs, like the telemetry block:

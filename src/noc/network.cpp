@@ -86,8 +86,8 @@ void
 Network::setKernelMode(KernelMode mode)
 {
     kernel_mode_ = mode;
-    // The packed caches may have rotted while another kernel ran
-    // (they are only maintained by stepBitmask); force a rebuild.
+    // The packed caches may have rotted while the dense kernel ran
+    // (only stepBitmask maintains them); force a rebuild.
     for (PackedRouterState &ps : packed_)
         ps.stale = true;
 }
@@ -205,17 +205,10 @@ Network::ni(NodeId node) const
 void
 Network::step()
 {
-    switch (kernel_mode_) {
-    case KernelMode::Dense:
+    if (kernel_mode_ == KernelMode::Dense)
         stepDense();
-        break;
-    case KernelMode::Bitmask:
+    else
         stepBitmask();
-        break;
-    case KernelMode::Active:
-        stepActive();
-        break;
-    }
 }
 
 void
@@ -303,140 +296,6 @@ Network::stepDense()
 }
 
 void
-Network::stepActive()
-{
-    const int nodes = config_.numNodes();
-    const int lp = portIndex(Port::Local);
-
-    // ---- Network interfaces ----
-    //
-    // An NI whose queue is empty, that is not streaming, and whose
-    // links carry neither a flit nor a credit cannot change state or
-    // drive outputs; its wires would show no injection, no ejection
-    // and zero anomalies, so skipping evaluation (and its observer) is
-    // unobservable. An idle NI woken only by returning credits takes
-    // the credit fast path (NetworkInterface::applyCreditIncrements)
-    // instead of a full evaluation. Workload draws are skipped only
-    // on cycles where no node can fire (see WorkloadGenerator::idleAt:
-    // a permanent stop for the synthetic backend, whose sequential
-    // streams must stay aligned with a dense run while they still
-    // matter; any idle segment or gap for the counter-mode phased and
-    // trace backends, which keep no sequential stream state).
-    const bool idle = traffic_.idleAt(cycle_);
-    for (NodeId n = 0; n < nodes; ++n) {
-        std::optional<Packet> pkt;
-        if (!idle)
-            pkt = traffic_.generate(config_, n, cycle_);
-
-        Link &inj = links_[static_cast<std::size_t>(inLinkIndex(n, lp))];
-        Link &ejc = links_[static_cast<std::size_t>(outLinkIndex(n, lp))];
-        NetworkInterface &ni = nis_[static_cast<std::size_t>(n)];
-
-        const bool active =
-            pkt.has_value() || !ni.idle() || ejc.recvValid;
-        if (pkt)
-            ni.enqueue(*pkt);
-        if (!active) {
-            if (inj.creditRecv != 0)
-                ni.applyCreditIncrements(inj.creditRecv);
-            continue;
-        }
-
-        NetworkInterface::LinkIo io;
-        io.inValid = ejc.recvValid;
-        io.inFlit = ejc.recvFlit;
-        io.creditIn = inj.creditRecv;
-
-        ni.evaluate(cycle_, io);
-        ++ni_evals_;
-
-        if (io.outValid) {
-            inj.sendValid = true;
-            inj.sendFlit = io.outFlit;
-        }
-        ejc.creditSend |= io.creditOut;
-
-        if (ni_observer_)
-            ni_observer_(ni, ni.wires());
-    }
-
-    // ---- Routers ----
-    //
-    // A quiescent router (Router::quiescent) with no arriving flit and
-    // no arriving credit performs no state transition and drives no
-    // output; its checkers see all-zero wires (the start-up invariant
-    // core::verifyQuiescentInvariant certifies they pass trivially).
-    // Such routers are skipped until a link wakes them; a quiescent
-    // router woken *only* by returning credits takes the credit fast
-    // path (Router::applyCreditIncrements) and stays out of the
-    // active set. Pins override: a tap hook may inject a fault into
-    // an otherwise idle router.
-    Router::Context ctx{&config_, routing_.get()};
-    const bool hook_all = tap_force_all_ && tap_hook_;
-    for (NodeId n = 0; n < nodes; ++n) {
-        const std::size_t idx = static_cast<std::size_t>(n);
-
-        Router::LinkIo io;
-        bool flit_in = false;
-        std::uint32_t credit_any = 0;
-        for (int p = 0; p < kNumPorts; ++p) {
-            const int li = inLinkIndex(n, p);
-            if (li >= 0) {
-                const Link &link = links_[static_cast<std::size_t>(li)];
-                io.inValid[p] = link.recvValid;
-                io.inFlit[p] = link.recvFlit;
-                flit_in |= link.recvValid;
-            }
-            const int lo = outLinkIndex(n, p);
-            if (lo >= 0) {
-                io.creditIn[p] =
-                    links_[static_cast<std::size_t>(lo)].creditRecv;
-                credit_any |= io.creditIn[p];
-            }
-        }
-
-        if (!flit_in && !router_live_[idx] && !force_active_[idx] &&
-            !hook_all) {
-            if (credit_any != 0)
-                routers_[idx].applyCreditIncrements(io.creditIn);
-            continue;
-        }
-
-        Router &router = routers_[idx];
-        router.evaluate(ctx, cycle_, io,
-                        tap_hook_ ? &tap_hook_ : nullptr);
-        ++router_evals_;
-        router_live_[idx] = router.quiescent() ? 0 : 1;
-
-        for (int p = 0; p < kNumPorts; ++p) {
-            const int lo = outLinkIndex(n, p);
-            if (lo >= 0 && io.outValid[p]) {
-                Link &link = links_[static_cast<std::size_t>(lo)];
-                link.sendValid = true;
-                link.sendFlit = io.outFlit[p];
-            }
-            const int li = inLinkIndex(n, p);
-            if (li >= 0)
-                links_[static_cast<std::size_t>(li)].creditSend |=
-                    io.creditOut[p];
-        }
-
-        if (router_observer_)
-            router_observer_(router, router.wires());
-    }
-
-    // ---- Links advance (idle links carry nothing to move) ----
-    for (Link &link : links_)
-        if (link.busy())
-            link.tick();
-
-    ++cycle_;
-
-    if (cycle_observer_)
-        cycle_observer_(*this);
-}
-
-void
 Network::stepBitmask()
 {
     const int nodes = config_.numNodes();
@@ -454,7 +313,7 @@ Network::stepBitmask()
     // is scheduled without loading any of its link slots. Ordinarily
     // the flags were already computed for free by the previous
     // cycle's link pass; the sweep here only runs when something
-    // invalidated them (another kernel ran, a copy, a purge).
+    // invalidated them (the dense kernel ran, a copy, a purge).
     // Links whose send side gets written this cycle join the busy
     // set; the end-of-cycle pass visits only busy links.
     const auto mark_busy = [this](int li) {
@@ -510,10 +369,15 @@ Network::stepBitmask()
         io_flags_cycle_ = cycle_;
     }
 
-    // ---- Network interfaces: identical to the active kernel ----
-    // (same skip predicate, same credit fast path, same RNG draws, so
-    // the workload streams stay aligned with an active run; the flag
-    // bits stand in for the link loads the active kernel does).
+    // ---- Network interfaces ----
+    // An NI with no queued or streaming work and no arriving flit
+    // cannot change state or drive outputs, so skipping it (and its
+    // observer) is unobservable; one woken only by returning credits
+    // takes the credit fast path (applyCreditIncrements). Workload
+    // draws are skipped only on cycles where no node can fire
+    // (WorkloadGenerator::idleAt), so the synthetic backend's
+    // sequential streams stay aligned with a dense run while they
+    // still matter.
     const bool idle = traffic_.idleAt(cycle_);
     for (NodeId n = 0; n < nodes; ++n) {
         std::optional<Packet> pkt;
@@ -562,14 +426,22 @@ Network::stepBitmask()
     }
 
     // ---- Routers: active-set scheduling + packed fast path ----
-    // Scheduling (skip / credit fast path / evaluate) is exactly the
-    // active kernel's. An evaluated router tries the struct-of-arrays
-    // fast path unless it is pinned (tap hooks and forced-active
-    // routers need the wire record and tap delivery, so they always
-    // take the branchy pipeline); a rejected screen falls back to the
-    // branchy pipeline with the full checker bank.
+    // A quiescent router (Router::quiescent) with no arriving flit is
+    // skipped: evaluating it is an architectural no-op whose checkers
+    // see all-zero wires (core::verifyQuiescentInvariant). One woken
+    // only by returning credits takes the credit fast path
+    // (applyCreditIncrements) and stays out of the active set. Pinned
+    // routers always evaluate: a tap hook may inject a fault into an
+    // otherwise idle router.
+    //
+    // Under Bitmask an evaluated, unpinned router tries the
+    // struct-of-arrays fast path first (pinned ones need the wire
+    // record and tap delivery); a rejected screen, and every router
+    // under Active, takes the branchy pipeline with the full checker
+    // bank.
     Router::Context ctx{&config_, routing_.get()};
     const bool hook_all = tap_force_all_ && tap_hook_;
+    const bool packed = kernel_mode_ == KernelMode::Bitmask;
     PackedCycleEvents ev;
     Router::LinkIo io;
     for (NodeId n = 0; n < nodes; ++n) {
@@ -627,7 +499,7 @@ Network::stepBitmask()
 
         Router &router = routers_[idx];
         bool fast = false;
-        if (!pinned) {
+        if (packed && !pinned) {
             PackedRouterState &ps = packed_[idx];
             if (ps.stale)
                 router.recomputePacked(config_, ps);

@@ -35,36 +35,39 @@ namespace nocalert::noc {
 /**
  * Simulation kernel selection.
  *
- * Active (default) maintains an active set: a cycle only evaluates
- * routers with flit stimulus or non-quiescent state, NIs with work or
- * arriving flits, and busy links; a quiescent router or idle NI woken
- * only by returning credits takes a credit fast path (the capped
- * counter increment is the evaluation's entire effect). Provably
- * bit-exact with Dense on every observable (ejection logs, stats,
- * alert streams) — the differential kernel-equivalence tests assert
- * it — because a skipped module's evaluation is an architectural
- * no-op and its observers could only see quiescent wires. Two
+ * Dense evaluates everything every cycle — the original kernel. Use
+ * it when an external observer must see every router every cycle
+ * (e.g. whole-network tracing) or to cross-check the other two.
+ *
+ * Active and Bitmask share one active-set scheduler
+ * (Network::stepBitmask): a cycle only evaluates routers with flit
+ * stimulus or non-quiescent state, NIs with work or arriving flits,
+ * and busy links; a quiescent router or idle NI woken only by
+ * returning credits takes a credit fast path (the capped counter
+ * increment is the evaluation's entire effect). Provably bit-exact
+ * with Dense on every observable (ejection logs, stats, alert
+ * streams) — the differential kernel-equivalence tests assert it —
+ * because a skipped module's evaluation is an architectural no-op
+ * and its observers could only see quiescent wires. Two
  * *non*-observables differ: the traffic RNG streams stop advancing
  * once generation stopped, and per-router/per-NI observers do not
  * fire for skipped modules.
  *
- * Dense evaluates everything every cycle — the original kernel. Use
- * it when an external observer must see every router every cycle
- * (e.g. whole-network tracing) or to cross-check the active kernel.
- *
- * Bitmask keeps the active kernel's scheduling and adds the
+ * The two differ only in how an evaluated router commits its cycle.
+ * Active (the default) runs the branchy pipeline with the full
+ * checker bank for every evaluated router. Bitmask adds the
  * struct-of-arrays fast path (Router::evaluateFast): an evaluated
  * router whose packed state passes the eligibility screen commits
  * its cycle by sparse bitmask iteration — no wire record, no
  * snapshots, no branchy checker bank — and reports any invariant
  * fires as one violation word through the packed observer. Routers
  * the screen rejects (suspect state, anomalous stimulus) and pinned
- * routers (tap hooks, forced-active) take the branchy path with the
- * full checker bank, so behaviour under faults is bit-identical to
- * Dense/Active; the three-way kernel-equivalence tests pin this.
- * Like Active, per-router observers do not fire for fast-path
- * routers (install a packed observer to receive their violations),
- * and tap hooks are only delivered to pinned routers.
+ * routers (tap hooks, forced-active) take the branchy path, so
+ * behaviour under faults is bit-identical to Dense/Active; the
+ * three-way kernel-equivalence tests pin this. Per-router observers
+ * do not fire for fast-path routers (install a packed observer to
+ * receive their violations), and tap hooks are only delivered to
+ * pinned routers.
  */
 enum class KernelMode : std::uint8_t {
     Active,
@@ -300,7 +303,6 @@ class Network
   private:
     void buildTopology();
     void stepDense();
-    void stepActive();
     void stepBitmask();
     void recomputeLiveness();
     int inLinkIndex(NodeId node, int port) const;
@@ -316,9 +318,9 @@ class Network
     std::vector<int> out_link_; // [node * kNumPorts + port]
 
     /**
-     * Batched link delivery (bitmask kernel): per-link consumer nodes
-     * (inverse of in_link_/out_link_, built lazily) and the per-node
-     * arrival flags one link sweep per cycle derives from them —
+     * Batched link delivery (active-set scheduler): per-link consumer
+     * nodes (inverse of in_link_/out_link_, built lazily) and the
+     * per-node arrival flags one link sweep per cycle derives from them —
      * bit 0: a flit arrived on some input port, bit 1: a credit
      * arrived on some output port. Routers whose flags are clear are
      * scheduled without touching any of their ten link slots.
@@ -329,10 +331,10 @@ class Network
     /**
      * Cycle node_io_flags_ describes, or -1 when invalid. The flags
      * for cycle c+1 are computed for free while the links advance at
-     * the end of bitmask cycle c; a dedicated sweep is only needed
-     * when the previous cycle ran on another kernel or something else
-     * touched the links in between (copies, purges — anything through
-     * recomputeLiveness()).
+     * the end of active-set cycle c; a dedicated sweep is only needed
+     * when the previous cycle ran on the dense kernel or something
+     * else touched the links in between (copies, purges — anything
+     * through recomputeLiveness()).
      */
     Cycle io_flags_cycle_ = -1;
     /**

@@ -5,6 +5,7 @@
  * bad burst specs, conflicting flags, missing/damaged trace files)
  * must fail with non-zero status and an error naming the offending
  * field, and the record -> replay loop must reproduce a run exactly.
+ * simulate's --fault accepts exactly the router's catalog sites.
  *
  * Binary paths arrive via the NOCALERT_SIMULATE_BIN and
  * NOCALERT_SHARD_BIN compile definitions.
@@ -203,6 +204,58 @@ TEST_F(WorkloadCli, ShardRejectsBadPhaseProgramsToo)
         " --mesh 4 --sites 2 --phases 100:50:uniform:0.05");
     EXPECT_NE(out.status, 0);
     EXPECT_NE(out.text.find("end"), std::string::npos) << out.text;
+}
+
+// ---- --fault site specs ----
+
+/** Exit status 1 naming --fault: a fatal error, not an abort. */
+void
+expectFaultRejected(const CommandOutput &out, const std::string &spec)
+{
+    EXPECT_EQ(out.status, 1) << spec << "\n" << out.text;
+    EXPECT_NE(out.text.find("--fault"), std::string::npos)
+        << spec << "\n" << out.text;
+}
+
+TEST_F(WorkloadCli, MalformedFaultNumbersAreFatal)
+{
+    for (const char *spec :
+         {"rabc:Sa2Grant:E:2", "r5:Sa2Grant:E:x", "r5:Sa2Grant:E:2:",
+          "r5x:Sa2Grant:E:2", "r5:Sa2Grant:E:-1",
+          "r5:Sa2Grant:E:2:4294967295"}) {
+        expectFaultRejected(
+            simulate(std::string("--mesh 4 --cycles 200 --fault ") + spec),
+            spec);
+    }
+}
+
+TEST_F(WorkloadCli, FaultSitesOutsideTheCatalogAreFatal)
+{
+    // On a 4x4 mesh with 4 VCs: a per-VC register without its VC, a
+    // VA grant past the VC count, a wire given a VC, a router off the
+    // mesh, a bit past its field, and an unconnected port.
+    for (const char *spec :
+         {"r5:StVcState:E:0", "r5:Va2Grant:E:0:9", "r5:Sa2Grant:E:2:0",
+          "r999:Sa2Grant:E:2", "r5:Sa2Grant:E:99", "r0:Sa2Grant:W:2"}) {
+        expectFaultRejected(
+            simulate(std::string("--mesh 4 --cycles 200 --fault ") + spec),
+            spec);
+    }
+}
+
+TEST_F(WorkloadCli, CatalogFaultSitesRun)
+{
+    for (const char *flags :
+         {"--mesh 4 --fault r15:WriteEnable:L:2",
+          "--mesh 4 --fault r5:StVcState:E:1:3",
+          "--mesh 8 --fault r36:Sa2Grant:E:2"}) {
+        const CommandOutput out =
+            simulate(std::string("--cycles 200 ") + flags);
+        EXPECT_EQ(out.status, 0) << flags << "\n" << out.text;
+        EXPECT_NE(out.text.find("armed transient fault"),
+                  std::string::npos)
+            << flags << "\n" << out.text;
+    }
 }
 
 // ---- the record -> replay loop ----

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -594,6 +596,90 @@ TEST(Sharding, CheckpointFromDifferentCampaignIsFatal)
 
     config.sampleSeed += 1; // now a different campaign
     EXPECT_DEATH(FaultCampaign(config).run(), "different campaign");
+    std::remove(checkpoint.c_str());
+}
+
+/**
+ * Run @p config once with a checkpoint, let @p doctor edit the saved
+ * checkpoint, and write it back (derived blocks recomputed, so only
+ * the resume checks can object). Returns the checkpoint path.
+ */
+std::string
+doctoredCheckpoint(CampaignConfig &config, const std::string &name,
+                   const std::function<void(CampaignResult &)> &doctor)
+{
+    const std::string checkpoint = testing::TempDir() + name;
+    std::remove(checkpoint.c_str());
+    config.jobs = 1;
+    config.checkpointPath = checkpoint;
+    FaultCampaign(config).run();
+
+    std::string error;
+    std::optional<CampaignResult> saved =
+        loadCampaignResult(checkpoint, &error);
+    EXPECT_TRUE(saved.has_value()) << error;
+    if (saved) {
+        doctor(*saved);
+        EXPECT_TRUE(saveCampaignResult(*saved, checkpoint, &error))
+            << error;
+    }
+    return checkpoint;
+}
+
+/** A fixed-budget sampled campaign: two batches of four draws. */
+CampaignConfig
+tinySampledCampaign()
+{
+    CampaignConfig config = tinyCampaign();
+    config.maxSites = 8;
+    config.runForever = false;
+    config.sampling.enabled = true;
+    config.sampling.ciHalfWidth = 0.0;
+    config.sampling.maxRuns = 8;
+    config.sampling.batchSize = 4;
+    config.sampling.seedCount = 2;
+    config.sampling.cycleJitter = 16;
+    return config;
+}
+
+TEST(Sharding, CheckpointRunOffTheSiteListIsFatal)
+{
+    CampaignConfig config = tinyCampaign();
+    config.maxSites = 4;
+    const std::string checkpoint = doctoredCheckpoint(
+        config, "nocalert_off_site_list_checkpoint.json",
+        [](CampaignResult &result) { result.runs.at(1).site.bit ^= 1; });
+    EXPECT_DEATH(FaultCampaign(config).run(),
+                 "does not match the sampled site list");
+    std::remove(checkpoint.c_str());
+}
+
+TEST(Sharding, SampledCheckpointOffTheDrawStreamIsFatal)
+{
+    CampaignConfig config = tinySampledCampaign();
+    const std::string checkpoint = doctoredCheckpoint(
+        config, "nocalert_off_draw_stream_checkpoint.json",
+        [](CampaignResult &result) { result.runs.at(5).site.bit ^= 1; });
+    EXPECT_DEATH(FaultCampaign(config).run(),
+                 "does not match the sampled draw stream at draw 5");
+    std::remove(checkpoint.c_str());
+}
+
+TEST(Sharding, SampledCheckpointPastTheDrawStreamIsFatal)
+{
+    CampaignConfig config = tinySampledCampaign();
+    const std::string checkpoint = doctoredCheckpoint(
+        config, "nocalert_past_draw_stream_checkpoint.json",
+        [](CampaignResult &result) {
+            // Draw 100 lies past the 8-draw budget: no batch ever
+            // replays it.
+            FaultRunResult extra = result.runs.back();
+            extra.sampleIndex = 100;
+            result.runs.push_back(extra);
+            result.shardRunsPlanned = result.runs.size();
+        });
+    EXPECT_DEATH(FaultCampaign(config).run(),
+                 "not a contiguous sampled draw prefix");
     std::remove(checkpoint.c_str());
 }
 
