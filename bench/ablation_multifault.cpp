@@ -67,19 +67,12 @@ main(int argc, char **argv)
     config.network.width = 6;
     config.network.height = 6;
     config.warmup = 600;
-    config.workload.synthetic.stopCycle = config.warmup + config.observeWindow;
+    config = fault::normalizedCampaignConfig(config);
     const unsigned pairs = std::max(30u, config.maxSites / 3);
 
     std::fprintf(stderr, "[multifault] preparing golden reference...\n");
-    noc::Network base(config.network, config.workload);
-    base.run(config.warmup);
-    noc::Network golden_net(base);
-    golden_net.run(config.observeWindow);
-    if (!golden_net.drain(config.drainLimit)) {
-        std::fprintf(stderr, "golden run failed to drain\n");
-        return 1;
-    }
-    const fault::GoldenReference golden(golden_net.collectEjections());
+    const fault::FaultCampaign::PreparedReference reference =
+        fault::FaultCampaign::prepareReference(config, config.workload.seed());
 
     // Deterministic site pairs: consecutive draws of one shuffle.
     const auto sites = fault::FaultSiteCatalog::sampleNetwork(
@@ -89,8 +82,8 @@ main(int argc, char **argv)
     Histogram latency;
     std::uint64_t silent_violations = 0;
     for (unsigned i = 0; i + 1 < sites.size(); i += 2) {
-        const auto result =
-            runPair(config, base, golden, sites[i], sites[i + 1]);
+        const auto result = runPair(config, reference.base, reference.golden,
+                                    sites[i], sites[i + 1]);
         outcomes[static_cast<unsigned>(result.outcome())] += 1;
         if (result.outcome() == fault::Outcome::TruePositive)
             latency.add(result.detectionLatency);

@@ -7,11 +7,10 @@
  * run N independent indexed tasks, deliver their results to a sink in
  * strict index order, and report progress along the way.
  *
- * Each task receives a TaskContext carrying an independently derived
- * RNG stream (`deriveStream(streamSeed, index)` — counter-mode stream
- * selection, never a shared generator), so a task's randomness depends
- * only on its index, not on which worker ran it or when. Combined with
- * the ordered reduction this is the whole determinism argument: task
+ * A task receives only its index, and the caller fixes every input a
+ * task reads before dispatch, so a task's result depends only on its
+ * index, not on which worker ran it or when. Combined with the
+ * ordered reduction this is the whole determinism argument: task
  * inputs are index-pure, task outputs are index-ordered, therefore
  * campaign output is a pure function of (config, seed) — identical for
  * every jobs count and every interleaving.
@@ -33,49 +32,21 @@
 #include "exec/reduce.hpp"
 #include "exec/telemetry.hpp"
 #include "exec/workpool.hpp"
-#include "util/rng.hpp"
 
 namespace nocalert::exec {
-
-/** Execution knobs; none of these may influence campaign *results*. */
-struct ExecConfig
-{
-    /** Worker count; 0 resolves to hardware concurrency. */
-    unsigned jobs = 1;
-    /** Base seed the per-task RNG streams are derived from. */
-    std::uint64_t streamSeed = 0;
-    /** Scheduling-only seed for work-stealing victim selection. */
-    std::uint64_t stealSeed = 0;
-};
-
-/** Everything a task may depend on: its index and its private RNG. */
-struct TaskContext
-{
-    std::size_t index;
-    unsigned worker;
-    Pcg32 rng;
-};
 
 /** Maps independent indexed tasks onto workers, reduces in order. */
 class CampaignExecutor
 {
   public:
-    explicit CampaignExecutor(ExecConfig config)
-        : config_(config), pool_(config.jobs, config.stealSeed)
-    {
-    }
+    /** @p jobs 0 resolves to hardware concurrency. */
+    explicit CampaignExecutor(unsigned jobs) : pool_(jobs) {}
 
     /** Resolved worker count (>= 1). */
     unsigned jobs() const { return pool_.workers(); }
 
-    /** Per-worker scheduling stats of the most recent run(). */
-    const std::vector<WorkerStats> &stats() const
-    {
-        return pool_.stats();
-    }
-
     /**
-     * Run tasks 0..count-1. @p fn maps a TaskContext to a Result;
+     * Run tasks 0..count-1. @p fn maps a task index to a Result;
      * @p sink receives each (index, Result) in strictly increasing
      * index order, serialized under the reducer lock (shared state
      * touched only from the sink needs no extra locking, and any
@@ -98,13 +69,11 @@ class CampaignExecutor
         pool_.runIndexed(
             count,
             [&](std::size_t task, unsigned worker) {
-                TaskContext ctx{task, worker,
-                                deriveStream(config_.streamSeed, task)};
                 const auto begin = std::chrono::steady_clock::now();
-                Result result = fn(ctx);
+                Result result = fn(task);
                 if (telemetry) {
-                    // Live utilization: report as each task finishes,
-                    // not only after the pool quiesces.
+                    // Live utilization: busy time is measured here
+                    // alone, as each task finishes.
                     telemetry->recordBusy(
                         worker,
                         static_cast<std::uint64_t>(
@@ -120,7 +89,6 @@ class CampaignExecutor
     }
 
   private:
-    ExecConfig config_;
     WorkerPool pool_;
 };
 

@@ -1,12 +1,12 @@
 #include "exec/workpool.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
+#include <mutex>
 #include <optional>
 #include <thread>
-
-#include "util/rng.hpp"
+#include <vector>
 
 namespace nocalert::exec {
 
@@ -17,9 +17,8 @@ WorkerPool::hardwareConcurrency()
     return hw == 0 ? 1 : hw;
 }
 
-WorkerPool::WorkerPool(unsigned workers, std::uint64_t steal_seed)
-    : workers_(workers == 0 ? hardwareConcurrency() : workers),
-      stealSeed_(steal_seed)
+WorkerPool::WorkerPool(unsigned workers)
+    : workers_(workers == 0 ? hardwareConcurrency() : workers)
 {
 }
 
@@ -27,106 +26,45 @@ void
 WorkerPool::runIndexed(std::size_t count, const Task &task,
                        CancelToken *cancel)
 {
-    stats_.assign(workers_, WorkerStats{});
-    if (count == 0)
-        return;
-
-    // Deal round-robin: task i lands in deque i % workers. With no
-    // stealing each worker would process an interleaved slice, which
-    // keeps early (cheap, cache-warm) and late tasks mixed evenly.
-    std::vector<Deque> deques(workers_);
-    for (std::size_t i = 0; i < count; ++i)
-        deques[i % workers_].tasks.push_back(i);
-
+    std::atomic<std::size_t> cursor{0};
     std::atomic<bool> abort{false};
     std::mutex failure_mutex;
     std::optional<TaskError> failure;
 
-    auto pop_own = [&](unsigned w) -> std::optional<std::size_t> {
-        Deque &dq = deques[w];
-        std::lock_guard<std::mutex> lock(dq.mutex);
-        if (dq.tasks.empty())
-            return std::nullopt;
-        const std::size_t t = dq.tasks.front();
-        dq.tasks.pop_front();
-        return t;
-    };
-    auto steal = [&](unsigned thief,
-                     Pcg32 &rng) -> std::optional<std::size_t> {
-        // Scan every victim once, starting at a random offset so
-        // thieves do not all pile onto worker 0.
-        const unsigned start =
-            workers_ > 1 ? rng.nextBounded(workers_) : 0;
-        for (unsigned k = 0; k < workers_; ++k) {
-            const unsigned v = (start + k) % workers_;
-            if (v == thief)
-                continue;
-            Deque &dq = deques[v];
-            std::lock_guard<std::mutex> lock(dq.mutex);
-            if (dq.tasks.empty())
-                continue;
-            const std::size_t t = dq.tasks.back();
-            dq.tasks.pop_back();
-            return t;
-        }
-        return std::nullopt;
+    auto fail = [&](std::size_t index, const char *message) {
+        std::lock_guard<std::mutex> lock(failure_mutex);
+        if (!failure)
+            failure.emplace(index, message);
+        abort.store(true, std::memory_order_relaxed);
     };
 
     auto worker = [&](unsigned w) {
-        // Victim-selection stream: scheduling-only randomness, derived
-        // per worker so streams never interfere across threads.
-        Pcg32 rng = deriveStream(stealSeed_, w);
-        WorkerStats &stats = stats_[w];
-        for (;;) {
-            if (abort.load(std::memory_order_relaxed))
+        while (!abort.load(std::memory_order_relaxed) &&
+               !(cancel && cancel->cancelled())) {
+            const std::size_t t = cursor++;
+            if (t >= count)
                 return;
-            if (cancel && cancel->cancelled())
-                return;
-            bool was_steal = false;
-            std::optional<std::size_t> t = pop_own(w);
-            if (!t && workers_ > 1) {
-                t = steal(w, rng);
-                was_steal = t.has_value();
-            }
-            if (!t)
-                return; // every deque drained: no new work can appear
-            const auto begin = std::chrono::steady_clock::now();
             try {
-                task(*t, w);
+                task(t, w);
             } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(failure_mutex);
-                if (!failure)
-                    failure.emplace(*t, e.what());
-                abort.store(true, std::memory_order_relaxed);
+                fail(t, e.what());
                 return;
             } catch (...) {
-                std::lock_guard<std::mutex> lock(failure_mutex);
-                if (!failure)
-                    failure.emplace(*t, "unknown exception");
-                abort.store(true, std::memory_order_relaxed);
+                fail(t, "unknown exception");
                 return;
             }
-            const auto end = std::chrono::steady_clock::now();
-            stats.busyNanos += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    end - begin)
-                    .count());
-            ++stats.executed;
-            if (was_steal)
-                ++stats.stolen;
         }
     };
 
-    if (workers_ == 1) {
-        worker(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers_);
-        for (unsigned w = 0; w < workers_; ++w)
-            pool.emplace_back(worker, w);
-        for (std::thread &thread : pool)
-            thread.join();
-    }
+    // A worker beyond the task count would find the cursor spent.
+    // jthreads join on destruction, so the helpers never outlive the
+    // state they share, also when starting one of them throws.
+    const std::size_t active = std::min<std::size_t>(workers_, count);
+    std::vector<std::jthread> helpers;
+    for (unsigned w = 1; w < active; ++w)
+        helpers.emplace_back(worker, w);
+    worker(0);
+    helpers.clear();
 
     if (failure)
         throw *failure;

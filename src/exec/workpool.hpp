@@ -1,16 +1,15 @@
 /**
  * @file
- * Fixed-size worker pool with per-worker work-stealing deques — the
- * scheduling layer of the execution engine.
+ * Fixed-size worker pool — the scheduling layer of the execution
+ * engine.
  *
- * An indexed task set is dealt round-robin into one deque per worker;
- * each worker drains its own deque from the front and, when empty,
- * steals from the *back* of a victim's deque (classic work-stealing
- * split: the owner touches the cold end, thieves take the hot end, so
- * contention concentrates only when work runs out). Scheduling order
- * is intentionally non-deterministic; determinism of campaign output
- * is owed entirely to the ordered reducer downstream, never to the
- * schedule.
+ * Workers claim task indices in increasing order from one shared
+ * atomic cursor, so a worker that finishes early simply takes the
+ * next unclaimed index. Campaign tasks are few and coarse (a fault
+ * run costs from a fraction of a millisecond to ~100 ms), and one
+ * fetch_add per task balances them. Completion order is intentionally
+ * non-deterministic; determinism of campaign output is owed entirely
+ * to the ordered reducer downstream, never to the schedule.
  *
  * Failure and cancellation are first-class: the first task exception
  * aborts dispatch, in-flight tasks finish, and runIndexed rethrows a
@@ -22,25 +21,13 @@
 #define NOCALERT_EXEC_WORKPOOL_HPP
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "exec/cancel.hpp"
 
 namespace nocalert::exec {
-
-/** Per-worker accounting for one runIndexed call. */
-struct WorkerStats
-{
-    std::uint64_t executed = 0;  ///< Tasks this worker ran.
-    std::uint64_t stolen = 0;    ///< Of those, taken from a victim.
-    std::uint64_t busyNanos = 0; ///< Wall time spent inside tasks.
-};
 
 /** Thrown by runIndexed when a task threw; names the failing task. */
 class TaskError : public std::runtime_error
@@ -65,44 +52,27 @@ class WorkerPool
     /** One unit of work: task index plus the executing worker's id. */
     using Task = std::function<void(std::size_t task, unsigned worker)>;
 
-    /**
-     * @p workers 0 resolves to hardwareConcurrency(). @p steal_seed
-     * randomizes victim-scan start offsets (scheduling only; output
-     * is reduced deterministically regardless).
-     */
-    explicit WorkerPool(unsigned workers, std::uint64_t steal_seed = 0);
+    /** @p workers 0 resolves to hardwareConcurrency(). */
+    explicit WorkerPool(unsigned workers);
 
     /** Resolved worker count (>= 1). */
     unsigned workers() const { return workers_; }
 
     /**
      * Execute tasks 0..count-1 and block until every dispatched task
-     * finished. One worker runs inline on the calling thread (the
-     * serial path spawns no threads at all). Throws TaskError on the
-     * first task failure after quiescing the pool; returns early
-     * (without error) when @p cancel fires, leaving undispatched
-     * tasks unrun.
+     * finished. The calling thread is worker 0 (the serial path spawns
+     * no threads at all). Throws TaskError on the first task failure
+     * after quiescing the pool; returns early (without error) when
+     * @p cancel fires, leaving undispatched tasks unrun.
      */
     void runIndexed(std::size_t count, const Task &task,
                     CancelToken *cancel = nullptr);
-
-    /** Per-worker stats of the most recent runIndexed call. */
-    const std::vector<WorkerStats> &stats() const { return stats_; }
 
     /** std::thread::hardware_concurrency clamped to >= 1. */
     static unsigned hardwareConcurrency();
 
   private:
-    /** One worker's deque; the mutex also covers a thief's access. */
-    struct Deque
-    {
-        std::mutex mutex;
-        std::deque<std::size_t> tasks;
-    };
-
     unsigned workers_;
-    std::uint64_t stealSeed_;
-    std::vector<WorkerStats> stats_;
 };
 
 } // namespace nocalert::exec

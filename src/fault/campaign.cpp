@@ -368,9 +368,12 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     result.invariants = log.distinctInvariants();
 
     if (fever) {
+        // Until its fault arms, a jittered run raises golden's own
+        // alarms; only those from the injection on can be the fault's.
         // A stopped run's own alerts all precede the stop; golden's
         // from the stop on are the ones the rest of the run raises.
-        std::optional<noc::Cycle> first = fever->firstDetection();
+        std::optional<noc::Cycle> first =
+            fever->firstDetection(result.injectCycle);
         if (stop && !first)
             first = golden.foreverAlarmFrom(*stop);
         if (first) {
@@ -614,9 +617,7 @@ FaultCampaign::run(const Progress &progress, const RunOptions &options)
     std::size_t fresh = 0;
     std::size_t replayed = 0;
 
-    exec::CampaignExecutor executor(exec::ExecConfig{
-        config_.jobs, config_.workload.seed(),
-        sampled ? config_.sampling.samplerSeed : config_.sampleSeed});
+    exec::CampaignExecutor executor(config_.jobs);
     exec::TelemetryHub hub(planned, executor.jobs(), kHubLabels);
     for (const auto &[index, run] : done_runs)
         hub.recordRun(static_cast<unsigned>(run.outcome()));
@@ -680,13 +681,11 @@ FaultCampaign::run(const Progress &progress, const RunOptions &options)
             try {
                 cancelled = !executor.run<FaultRunResult>(
                     todo.size(),
-                    [&](exec::TaskContext &ctx) {
-                        // ctx.rng is this run's private derived stream;
-                        // it goes unused: every coordinate of a run was
-                        // fixed when its draw was planned, and per-node
-                        // traffic streams are derived inside the
-                        // network copy.
-                        const SampledDraw &draw = todo[ctx.index];
+                    [&](std::size_t task) {
+                        // Every coordinate of a run was fixed when its
+                        // draw was planned; per-node traffic streams
+                        // are derived inside the network copy.
+                        const SampledDraw &draw = todo[task];
                         const PreparedReference &ref =
                             prepared[draw.seedIndex];
                         std::optional<noc::Cycle> stop;

@@ -159,13 +159,13 @@ ForeverModel::onCycleEnd(const noc::Network &network)
 }
 
 std::optional<noc::Cycle>
-ForeverModel::firstDetection() const
+ForeverModel::firstDetection(noc::Cycle from) const
 {
-    if (alerts_.empty())
-        return std::nullopt;
-    noc::Cycle first = alerts_.front().cycle;
-    for (const ForeverAlert &alert : alerts_)
-        first = std::min(first, alert.cycle);
+    std::optional<noc::Cycle> first;
+    for (const ForeverAlert &alert : alerts_) {
+        if (alert.cycle >= from && (!first || alert.cycle < *first))
+            first = alert.cycle;
+    }
     return first;
 }
 

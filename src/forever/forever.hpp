@@ -122,8 +122,8 @@ class ForeverModel
     /** All detection events so far. */
     const std::vector<ForeverAlert> &alerts() const { return alerts_; }
 
-    /** Cycle of the first detection event, if any. */
-    std::optional<noc::Cycle> firstDetection() const;
+    /** Cycle of the first detection event at or after @p from, if any. */
+    std::optional<noc::Cycle> firstDetection(noc::Cycle from = 0) const;
 
     /** Drop accumulated alerts. */
     void clearAlerts() { alerts_.clear(); }

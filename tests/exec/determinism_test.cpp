@@ -55,7 +55,7 @@ TEST_P(Determinism, ArtifactIsByteIdenticalAcrossJobs)
     const std::string serial = artifactAtJobs(config, 1);
     ASSERT_FALSE(serial.empty());
 
-    // jobs=4 exercises stealing; jobs=maxSites gives every run its
+    // jobs=4 shares the cursor; jobs=maxSites gives every run its
     // own worker (maximum reordering pressure on the reducer).
     EXPECT_EQ(artifactAtJobs(config, 4), serial);
     EXPECT_EQ(artifactAtJobs(config, config.maxSites), serial);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -16,19 +15,18 @@ constexpr std::size_t kCount = 24;
 std::vector<int>
 collectResults(unsigned jobs, bool skewed_durations)
 {
-    CampaignExecutor executor(ExecConfig{jobs, /*streamSeed=*/9,
-                                         /*stealSeed=*/jobs});
+    CampaignExecutor executor(jobs);
     std::vector<int> sink_order;
     const bool finished = executor.run<int>(
         kCount,
-        [&](TaskContext &ctx) {
+        [&](std::size_t index) {
             if (skewed_durations) {
                 // Early tasks take longest, maximizing out-of-order
                 // completion under parallel schedules.
-                std::this_thread::sleep_for(std::chrono::microseconds(
-                    (kCount - ctx.index) * 50));
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds((kCount - index) * 50));
             }
-            return static_cast<int>(ctx.index) * 3 + 1;
+            return static_cast<int>(index) * 3 + 1;
         },
         [&](std::size_t index, int &&value) {
             EXPECT_EQ(index, sink_order.size());
@@ -49,32 +47,15 @@ TEST(CampaignExecutor, SinkSeesIndexOrderForEveryJobsCount)
     }
 }
 
-TEST(CampaignExecutor, TaskContextRngMatchesDeriveStream)
-{
-    constexpr std::uint64_t kSeed = 0xfeedULL;
-    CampaignExecutor executor(ExecConfig{4, kSeed});
-    std::atomic<int> mismatches{0};
-    executor.run<int>(
-        16,
-        [&](TaskContext &ctx) {
-            Pcg32 expected = deriveStream(kSeed, ctx.index);
-            if (!(ctx.rng == expected))
-                mismatches.fetch_add(1);
-            return 0;
-        },
-        [](std::size_t, int &&) {});
-    EXPECT_EQ(mismatches.load(), 0);
-}
-
 TEST(CampaignExecutor, FailurePropagatesAfterQuiescing)
 {
-    CampaignExecutor executor(ExecConfig{4});
+    CampaignExecutor executor(4);
     std::vector<std::size_t> committed;
     try {
         executor.run<int>(
             50,
-            [](TaskContext &ctx) -> int {
-                if (ctx.index == 10)
+            [](std::size_t index) -> int {
+                if (index == 10)
                     throw std::runtime_error("run 10 exploded");
                 return 0;
             },
@@ -95,12 +76,12 @@ TEST(CampaignExecutor, FailurePropagatesAfterQuiescing)
 
 TEST(CampaignExecutor, CancelLeavesContiguousPrefix)
 {
-    CampaignExecutor executor(ExecConfig{4});
+    CampaignExecutor executor(4);
     CancelToken cancel;
     std::vector<std::size_t> committed;
     const bool finished = executor.run<int>(
         100,
-        [](TaskContext &) {
+        [](std::size_t) {
             // Slow the tasks so dispatch cannot outrun the cancel:
             // workers check the token between tasks, and instant
             // tasks could otherwise all finish before commit 7.
@@ -122,11 +103,11 @@ TEST(CampaignExecutor, CancelLeavesContiguousPrefix)
 
 TEST(CampaignExecutor, ReportsLiveUtilizationPerWorker)
 {
-    CampaignExecutor executor(ExecConfig{3});
+    CampaignExecutor executor(3);
     TelemetryHub hub(12, executor.jobs(), {"done"});
     executor.run<int>(
         12,
-        [](TaskContext &) {
+        [](std::size_t) {
             std::this_thread::sleep_for(std::chrono::microseconds(200));
             return 0;
         },

@@ -74,7 +74,7 @@ TEST_P(SampledDeterminism, ArtifactIsByteIdenticalAcrossJobs)
     const std::string serial = artifactAtJobs(config, 1);
     ASSERT_FALSE(serial.empty());
 
-    // jobs=2 exercises stealing across a growing run stream; jobs=
+    // jobs=2 shares the cursor across a growing run stream; jobs=
     // batchSize gives every draw of a batch its own worker (maximum
     // commit-reordering pressure within the batch quantum).
     EXPECT_EQ(artifactAtJobs(config, 2), serial);

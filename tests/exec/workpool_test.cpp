@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -30,12 +31,6 @@ TEST(WorkerPool, EveryIndexExecutesExactlyOnce)
         });
         for (std::size_t i = 0; i < kCount; ++i)
             EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-
-        // Per-worker accounting adds up to the task count.
-        std::uint64_t executed = 0;
-        for (const WorkerStats &stats : pool.stats())
-            executed += stats.executed;
-        EXPECT_EQ(executed, kCount);
     }
 }
 
@@ -58,8 +53,6 @@ TEST(WorkerPool, ZeroTasksIsANoOp)
 {
     WorkerPool pool(4);
     pool.runIndexed(0, [&](std::size_t, unsigned) { FAIL(); });
-    for (const WorkerStats &stats : pool.stats())
-        EXPECT_EQ(stats.executed, 0u);
 }
 
 TEST(WorkerPool, TaskExceptionBecomesTaskErrorNamingTheIndex)
@@ -123,20 +116,28 @@ TEST(WorkerPool, MidRunCancelStopsDispatchWithoutError)
     EXPECT_EQ(executed, 5u);
 }
 
-TEST(WorkerPool, StatsCountStolenTasks)
+TEST(WorkerPool, SlowTaskDoesNotHoldBackTheRest)
 {
-    // With many short tasks and several workers, at least the total
-    // is conserved; stolen is a subset of executed.
+    // Task 0 occupies its worker until every other task has run, so
+    // the remaining workers must take over all of them, including the
+    // indices a static split would have left to task 0's worker.
+    constexpr std::size_t kCount = 64;
     WorkerPool pool(4);
-    pool.runIndexed(500, [](std::size_t, unsigned) {});
-    std::uint64_t executed = 0;
-    std::uint64_t stolen = 0;
-    for (const WorkerStats &stats : pool.stats()) {
-        executed += stats.executed;
-        stolen += stats.stolen;
-    }
-    EXPECT_EQ(executed, 500u);
-    EXPECT_LE(stolen, executed);
+    std::atomic<std::size_t> others{0};
+    std::size_t seen_by_task0 = 0;
+    pool.runIndexed(kCount, [&](std::size_t task, unsigned) {
+        if (task != 0) {
+            others.fetch_add(1);
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (others.load() < kCount - 1 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        seen_by_task0 = others.load();
+    });
+    EXPECT_EQ(seen_by_task0, kCount - 1);
 }
 
 } // namespace

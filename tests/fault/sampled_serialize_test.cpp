@@ -9,9 +9,11 @@
 #include "fault/campaign.hpp"
 #include "fault/sampled.hpp"
 #include "fault/serialize.hpp"
+#include "traffic/workload.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 namespace nocalert::fault {
@@ -226,6 +228,59 @@ TEST(SampledSerialize, SamplingReportIsAPureFunctionOfRuns)
     const JsonValue doc = toJson(result);
     ASSERT_NE(doc.find("sampling"), nullptr);
     EXPECT_EQ(doc.find("sampling")->dump(), toJson(a).dump());
+}
+
+TEST(SampledSerialize, ForeverAlarmsBeforeInjectionAreNotTheFaults)
+{
+    // Under this phase program ForEVeR alarms on the fault-free
+    // traffic inside the jitter window, so a draw injected after such
+    // an alarm raises it too before its fault arms. Only alarms from
+    // the injection on may count, or the artifact would record a
+    // negative latency (-1 reads as the no-detection sentinel) that
+    // the reader rejects.
+    CampaignConfig config = tinyCampaign();
+    ASSERT_EQ(nocalert::traffic::parsePhaseProgram(
+                  "0:200:uniform:0.06,200:400:transpose:0.1,"
+                  "400:600:hotspot:0.05:5:0.5",
+                  config.workload.phased),
+              "");
+    config.workload.phased.repeat = true;
+    config.workload.phased.seed = 13;
+    config.workload.kind = nocalert::traffic::WorkloadKind::Phased;
+    config.runForever = true;
+    config.forever.epochLength = 150;
+    config.sampling.enabled = true;
+    config.sampling.stratify = Stratify::Phase;
+    config.sampling.ciHalfWidth = 0.0;
+    config.sampling.maxRuns = 24;
+    config.sampling.batchSize = 24;
+    config.sampling.cycleJitter = 500;
+    config.sampling.samplerSeed = 5;
+    config = normalizedCampaignConfig(config);
+
+    const FaultCampaign::PreparedReference prepared =
+        FaultCampaign::prepareReference(config, config.workload.seed());
+    const std::optional<noc::Cycle> alarm =
+        prepared.golden.foreverAlarmFrom(prepared.base.cycle());
+    ASSERT_TRUE(alarm.has_value());
+
+    const CampaignResult result = FaultCampaign(config).run();
+    std::size_t after_alarm = 0;
+    for (const FaultRunResult &run : result.runs) {
+        if (run.injectCycle > *alarm)
+            ++after_alarm;
+        if (run.foreverDetected) {
+            EXPECT_GE(run.foreverLatency, 0) << "draw " << run.sampleIndex;
+        }
+    }
+    EXPECT_GT(after_alarm, 0u) << "no draw injected after golden's alarm";
+
+    const std::string text = writeCampaignJson(result);
+    std::string error;
+    const std::optional<CampaignResult> parsed =
+        readCampaignJson(text, &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_EQ(writeCampaignJson(*parsed), text);
 }
 
 } // namespace
