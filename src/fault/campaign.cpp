@@ -52,12 +52,93 @@ stopsEarly(const CampaignConfig &config)
 }
 
 /**
- * Live telemetry slots: one per Outcome, then the runs that stopped
- * early (bumped by the worker, not a run count; never serialized).
+ * Live telemetry slots: one per Outcome, then the runs that converged
+ * to a golden checkpoint and the runs cut at a repeated state (bumped
+ * by the worker, not run counts; never serialized).
  */
-const std::vector<std::string> kHubLabels = {"tp", "fp",  "tn",
-                                             "fn", "rec", "stop"};
+const std::vector<std::string> kHubLabels = {"tp",  "fp",   "tn",    "fn",
+                                             "rec", "stop", "repeat"};
 constexpr std::size_t kStopSlot = kNumOutcomes;
+constexpr std::size_t kRepeatSlot = kNumOutcomes + 1;
+
+/**
+ * The full run's schedule past the observe window, runnable in
+ * pieces: Network::drain's steps (quiescence checked before each, up
+ * to the drain limit), then @p tail cycles of ForEVeR's epoch tail.
+ */
+class PostWindow
+{
+  public:
+    PostWindow(noc::Network &net, noc::Cycle drain_limit, noc::Cycle tail)
+        : net_(net), drain_left_(drain_limit), tail_left_(tail)
+    {
+    }
+
+    /**
+     * Follow the schedule up to cycle @p until or its end, whichever
+     * comes first. True iff the network stands at @p until with part
+     * of the schedule left.
+     */
+    bool
+    runTo(noc::Cycle until)
+    {
+        if (draining_) {
+            const noc::Cycle start = net_.cycle();
+            const bool quiet =
+                net_.drain(std::min(drain_left_, until - start));
+            drain_left_ -= net_.cycle() - start;
+            if (quiet) {
+                drained_ = true;
+                draining_ = false;
+            } else if (drain_left_ == 0) {
+                draining_ = false;
+            } else {
+                return true;
+            }
+        }
+        const noc::Cycle steps = std::min(tail_left_, until - net_.cycle());
+        net_.run(steps);
+        tail_left_ -= steps;
+        return net_.cycle() == until && remaining() > 0;
+    }
+
+    /** Run the drain to its end; its verdict. */
+    bool
+    drain()
+    {
+        if (draining_) {
+            drained_ = net_.drain(drain_left_);
+            draining_ = false;
+        }
+        return drained_;
+    }
+
+    /** Run the rest of the schedule. */
+    void
+    finish()
+    {
+        drain();
+        net_.run(tail_left_);
+        tail_left_ = 0;
+    }
+
+    /** Cycles of the schedule still ahead. */
+    noc::Cycle
+    remaining() const
+    {
+        return (draining_ ? drain_left_ : 0) + tail_left_;
+    }
+
+    /** The drain's verdict so far (false while it still runs). */
+    bool drained() const { return drained_; }
+
+  private:
+    noc::Network &net_;
+    noc::Cycle drain_left_;
+    noc::Cycle tail_left_;
+    bool draining_ = true;
+    bool drained_ = false;
+};
 
 /**
  * Install a run's observers on @p net: the NoCAlert engine on every
@@ -254,7 +335,7 @@ FaultCampaign::runSingle(const CampaignConfig &config,
                          const GoldenReference &golden,
                          const FaultSite &site,
                          noc::Cycle inject_offset,
-                         std::optional<noc::Cycle> *stopped_at)
+                         EarlyExit *early)
 {
     noc::Network net(base);
 
@@ -298,15 +379,25 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     injector.arm({site, result.injectCycle, config.kind});
     injector.attach(net);
 
+    // A plain transient fault inside the window has fired once the
+    // injection cycle ran; without its tap hook the armed router is
+    // scheduled and fast-pathed like any other (DESIGN.md §16).
+    const noc::Cycle window_end = base.cycle() + config.observeWindow;
+    const bool fired = stopsEarly(config) && result.injectCycle < window_end;
+    if (fired) {
+        net.run(result.injectCycle + 1 - net.cycle());
+        net.setTapHook(nullptr);
+    }
+
     // From a golden checkpoint's state on, the run would replay the
     // golden run: stop there and take the rest from golden
     // (DESIGN.md §16). Checkpoints lie inside the observe window.
     std::optional<noc::Cycle> stop;
-    if (stopsEarly(config)) {
+    if (fired) {
         for (const GoldenReference::Checkpoint &cp : golden.checkpoints()) {
             if (cp.cycle() <= result.injectCycle)
                 continue;
-            if (cp.cycle() > base.cycle() + config.observeWindow)
+            if (cp.cycle() > window_end)
                 break;
             net.run(cp.cycle() - net.cycle());
             if (net.sameState(cp.network) &&
@@ -316,37 +407,61 @@ FaultCampaign::runSingle(const CampaignConfig &config,
             }
         }
     }
-    if (stopped_at)
-        *stopped_at = stop;
 
+    // Past the window, with generation stopped and the fault spent,
+    // each step is one fixed function of the network's state: a
+    // network back in an earlier state repeats itself forever, and the
+    // rest of its schedule is ForEVeR's bookkeeping alone.
+    std::optional<noc::Cycle> repeated;
     if (stop) {
         result.drained = true;
     } else {
-        net.run(base.cycle() + config.observeWindow - net.cycle());
-        result.drained = net.drain(config.drainLimit);
-    }
-    if (!result.drained && config.recovery) {
-        // A quarantined router with a permanent wire fault churns
-        // forever and full quiescence is unreachable; what bounded
-        // delivery needs is that the end-to-end protocol settled:
-        // every NI has drained its queues and resolved (ACKed or
-        // abandoned) every pending packet. Abandoned packets still
-        // surface as FlitLost violations in the golden comparison.
-        result.drained = true;
-        for (noc::NodeId node = 0; node < config.network.numNodes();
-             ++node) {
-            if (!net.ni(node).idle()) {
-                result.drained = false;
-                break;
+        net.run(window_end - net.cycle());
+        PostWindow rest(net, config.drainLimit,
+                        fever ? config.forever.epochLength + 2 : 0);
+        const noc::Cycle stop_cycle = config.workload.stopCycle();
+        if (fired && stop_cycle >= 0 &&
+            stop_cycle <= window_end + kRepeatOffsets[0] &&
+            rest.runTo(window_end + kRepeatOffsets[0])) {
+            // The copy carries no ejection log: the live one is swapped
+            // out around it.
+            std::vector<std::vector<noc::EjectionRecord>> logs;
+            net.swapEjectionLogs(logs);
+            const noc::Network earlier(net);
+            net.swapEjectionLogs(logs);
+            if (rest.runTo(window_end + kRepeatOffsets[1]) &&
+                net.repeats(earlier))
+                repeated = net.cycle();
+        }
+        // A repeating network never turns quiescent: a drain still
+        // running at the cut would have run out.
+        result.drained = repeated ? rest.drained() : rest.drain();
+        if (!result.drained && config.recovery) {
+            // A quarantined router with a permanent wire fault churns
+            // forever and full quiescence is unreachable; what bounded
+            // delivery needs is that the end-to-end protocol settled:
+            // every NI has drained its queues and resolved (ACKed or
+            // abandoned) every pending packet. Abandoned packets still
+            // surface as FlitLost violations in the golden comparison.
+            result.drained = true;
+            for (noc::NodeId node = 0; node < config.network.numNodes();
+                 ++node) {
+                if (!net.ni(node).idle()) {
+                    result.drained = false;
+                    break;
+                }
             }
         }
+        if (!repeated) {
+            rest.finish();
+        } else if (fever) {
+            const noc::Cycle horizon = *repeated + rest.remaining();
+            for (noc::Cycle c = *repeated; c < horizon; ++c)
+                fever->endCycle(c);
+        }
     }
-
-    // ForEVeR's counter alarms fire at epoch boundaries; give it one
-    // full epoch past quiescence so a stuck counter is evaluated even
-    // when the network otherwise went idle.
-    if (fever && !stop)
-        net.run(config.forever.epochLength + 2);
+    if (early)
+        *early = {stop, repeated};
 
     const GoldenComparison comparison =
         golden.compare(net.collectEjections(), result.drained, stop);
@@ -688,12 +803,14 @@ FaultCampaign::run(const Progress &progress, const RunOptions &options)
                         const SampledDraw &draw = todo[task];
                         const PreparedReference &ref =
                             prepared[draw.seedIndex];
-                        std::optional<noc::Cycle> stop;
+                        EarlyExit early;
                         FaultRunResult run = runSingle(
                             config_, ref.base, ref.golden, draw.site,
-                            draw.cycleOffset, &stop);
-                        if (stop)
+                            draw.cycleOffset, &early);
+                        if (early.converged)
                             hub.bump(kStopSlot);
+                        if (early.repeated)
+                            hub.bump(kRepeatSlot);
                         run.sampleIndex = draw.drawIndex;
                         run.stratum = draw.stratum;
                         run.seedIndex = draw.seedIndex;

@@ -406,6 +406,14 @@ std::vector<FaultSite> enumerateCampaignSites(const CampaignConfig &config);
  */
 inline constexpr std::array<noc::Cycle, 2> kCheckpointOffsets = {16, 256};
 
+/**
+ * Offsets past the end of the observe window at which a transient run
+ * copies its network and compares it with that copy: a run whose
+ * network is back in the copied state has stopped changing and is cut
+ * there (DESIGN.md §16).
+ */
+inline constexpr std::array<noc::Cycle, 2> kRepeatOffsets = {64, 128};
+
 /** Campaign driver. */
 class FaultCampaign
 {
@@ -477,6 +485,15 @@ class FaultCampaign
     static PreparedReference prepareReference(const CampaignConfig &config,
                                               std::uint64_t traffic_seed);
 
+    /** Where runSingle stopped short of the full run's horizon. */
+    struct EarlyExit
+    {
+        /** Cycle of the golden checkpoint the run converged to. */
+        std::optional<noc::Cycle> converged;
+        /** Cycle at which the run's network repeated its state. */
+        std::optional<noc::Cycle> repeated;
+    };
+
     /**
      * Execute a single fault-injected run against a prepared warm
      * snapshot and golden reference (building block for tests).
@@ -484,22 +501,36 @@ class FaultCampaign
      * snapshot instant (sampled-mode cycle jitter; 0 = inject at the
      * snapshot cycle, the exhaustive behaviour).
      *
-     * A transient run without recovery or retransmission stops at
-     * the first checkpoint of @p golden after its injection cycle
-     * whose network and ForEVeR state it equals exactly: from there
-     * on it would be the golden run. The result is the full run's,
-     * field for field (its alerts so far, golden's ForEVeR alarms and
-     * ejections from the stop on, drained). A reference built from a
-     * bare log has no checkpoints, so runs against it simulate their
-     * full horizon.
-     * When @p stopped_at is non-null it receives the stop cycle, or
-     * nullopt for a full-length run.
+     * The full run simulates the observe window, Network::drain's
+     * steps and, with ForEVeR, its epochLength + 2 tail. A transient
+     * run without recovery or retransmission that injects inside the
+     * window takes three exact shortcuts (DESIGN.md §16); the result
+     * is the full run's, field for field:
+     *  - its injector is detached once the fault has fired (at the
+     *    injection cycle + 1), so the armed router is scheduled and
+     *    fast-pathed like any other;
+     *  - it stops at the first checkpoint of @p golden after its
+     *    injection cycle whose network and ForEVeR state it equals
+     *    exactly, and takes the rest from golden (golden's ForEVeR
+     *    alarms and ejections from the stop on, drained);
+     *  - past the window, it copies its network at window end +
+     *    kRepeatOffsets[0] and, if the network is back in that state
+     *    at + kRepeatOffsets[1] (Network::repeats), stops simulating
+     *    it: the ejection log and NoCAlert's fields are final,
+     *    drained is what the drain had reached, and ForEVeR alone
+     *    runs its end-of-cycle bookkeeping (ForeverModel::endCycle)
+     *    up to the full run's horizon.
+     *
+     * A reference built from a bare log has no checkpoints, so only
+     * the other two shortcuts apply to runs against it. When @p early
+     * is non-null it receives where the run stopped.
      */
-    static FaultRunResult runSingle(
-        const CampaignConfig &config, const noc::Network &base,
-        const GoldenReference &golden, const FaultSite &site,
-        noc::Cycle inject_offset = 0,
-        std::optional<noc::Cycle> *stopped_at = nullptr);
+    static FaultRunResult runSingle(const CampaignConfig &config,
+                                    const noc::Network &base,
+                                    const GoldenReference &golden,
+                                    const FaultSite &site,
+                                    noc::Cycle inject_offset = 0,
+                                    EarlyExit *early = nullptr);
 
   private:
     CampaignConfig config_;

@@ -88,7 +88,7 @@ class GoldenReference
 
     /**
      * Build a bare reference from a fault-free run's ejection records:
-     * no checkpoints, so runs against it simulate their full horizon.
+     * no checkpoints, so runs against it never converge to golden.
      * Panics if the log holds a flit twice or a packet whose flits
      * ejected at two nodes; neither can happen fault-free.
      */

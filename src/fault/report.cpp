@@ -350,6 +350,11 @@ summaryText(const CampaignResult &result)
            << ", max " << summary.detectionLatency.max()
            << " cycles\n";
     }
+    if (!summary.foreverLatency.empty()) {
+        const Histogram &latency = summary.foreverLatency;
+        os << "ForEVeR latency: p50 " << latency.percentile(0.5);
+        os << ", max " << latency.max() << " cycles\n";
+    }
     const auto fn = static_cast<unsigned>(Outcome::FalseNegative);
     os << "false negatives (must be 0): " << summary.nocalert[fn] << "\n";
     if (result.config.recovery) {

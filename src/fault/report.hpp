@@ -27,7 +27,8 @@ void writeCampaignCsv(const CampaignResult &result, std::ostream &os);
 
 /**
  * Render the summary as text: the outcome matrix, NoCAlert latency
- * (same-cycle share, p99, max), the false-negative count, and for
+ * (same-cycle share, p99, max), ForEVeR latency (p50, max), both over
+ * each detector's true positives, the false-negative count, and for
  * recovery campaigns the detected-recovered count.
  */
 std::string summaryText(const CampaignResult &result);

@@ -122,11 +122,8 @@ ForeverModel::observeNi(const noc::NetworkInterface &ni,
 }
 
 void
-ForeverModel::onCycleEnd(const noc::Network &network)
+ForeverModel::endCycle(noc::Cycle completed)
 {
-    // network.cycle() counts completed cycles; the one that just ran:
-    const noc::Cycle completed = network.cycle() - 1;
-
     for (const Notification &note : checknet_.deliverUpTo(completed)) {
         if (note.dst >= 0 &&
             note.dst < static_cast<noc::NodeId>(counters_.size())) {

@@ -107,7 +107,7 @@ class ForeverModel
      * over its own request words, so each grant is a one-hot subset
      * of its requests and the comparator cannot fire on it. Fault
      * injection reaches a router only through its tap hook, which
-     * pins the router to the branchy path.
+     * pins the router to the branchy path while it is installed.
      */
     void observeRouter(const noc::Router &router,
                        const noc::RouterWires &wires);
@@ -117,7 +117,21 @@ class ForeverModel
                    const noc::NiWires &wires);
 
     /** Epoch bookkeeping; call once per completed network cycle. */
-    void onCycleEnd(const noc::Network &network);
+    void
+    onCycleEnd(const noc::Network &network)
+    {
+        endCycle(network.cycle() - 1);
+    }
+
+    /**
+     * The bookkeeping of completed cycle @p completed without a
+     * network: notifications in flight land and epoch boundaries are
+     * checked. For a cycle in which no NI injected or ejected a flit
+     * and no router raised an invalid grant, that is everything
+     * ForEVeR does, so a run whose network has stopped changing calls
+     * this alone up to the horizon it would have simulated.
+     */
+    void endCycle(noc::Cycle completed);
 
     /** All detection events so far. */
     const std::vector<ForeverAlert> &alerts() const { return alerts_; }

@@ -115,6 +115,18 @@ class VcFifo
     bool sameContents(const VcFifo &other) const;
 
     /**
+     * True iff both FIFOs are equal slot for slot, with the same head
+     * offset and count: sameContents plus the stale slots that an
+     * (illegal) read of an empty FIFO returns.
+     */
+    bool
+    sameSlots(const VcFifo &other) const
+    {
+        return head_ == other.head_ && count_ == other.count_ &&
+               slots_ == other.slots_;
+    }
+
+    /**
      * Remove every stored flit whose packet id is @p id, preserving
      * the order of the survivors. Returns the number removed. Used by
      * recovery purges; unlike pop(), removal compacts the live region

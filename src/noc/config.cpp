@@ -30,16 +30,6 @@ routingAlgoFromName(std::string_view name)
     return std::nullopt;
 }
 
-std::vector<unsigned>
-RouterParams::classVcs(unsigned cls) const
-{
-    std::vector<unsigned> vcs;
-    for (unsigned v = 0; v < numVcs; ++v)
-        if (vcClass(v) == cls)
-            vcs.push_back(v);
-    return vcs;
-}
-
 void
 RouterParams::validate() const
 {

@@ -11,6 +11,7 @@
 #ifndef NOCALERT_NOC_CONFIG_HPP
 #define NOCALERT_NOC_CONFIG_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -105,8 +106,30 @@ struct RouterParams
             (static_cast<std::uint64_t>(vc) * c) / numVcs);
     }
 
-    /** VCs belonging to message class @p cls, in increasing order. */
-    std::vector<unsigned> classVcs(unsigned cls) const;
+    /** A contiguous range of VC indices, [lo, hi). */
+    struct VcRange
+    {
+        unsigned lo = 0;
+        unsigned hi = 0;
+    };
+
+    /**
+     * The VCs of message class @p cls (empty for a class past the
+     * last). vcClass(w) = floor(w * C / V) is monotone in w, so class
+     * c owns exactly the w with c * V <= w * C < (c + 1) * V:
+     * [ceil(c * V / C), ceil((c + 1) * V / C)).
+     */
+    VcRange
+    classVcRange(unsigned cls) const
+    {
+        const auto c = static_cast<unsigned>(classes.size());
+        if (c == 0)
+            return {0, numVcs};
+        const auto bound = [&](unsigned k) {
+            return std::min((k * numVcs + c - 1) / c, numVcs);
+        };
+        return {bound(cls), bound(cls + 1)};
+    }
 
     /** Packet length of message class @p cls. */
     std::uint16_t

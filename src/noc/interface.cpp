@@ -110,10 +110,11 @@ NetworkInterface::doInject(Cycle cycle, LinkIo &io)
             pkt.msgClass < params_.classes.size() ? pkt.msgClass : 0;
         // Pick a free VC of the packet's class; atomic VCs additionally
         // require the downstream buffer to be fully drained.
-        const auto vcs = params_.classVcs(cls);
-        const unsigned start = class_rr_[cls] % vcs.size();
-        for (std::size_t i = 0; i < vcs.size(); ++i) {
-            const unsigned v = vcs[(start + i) % vcs.size()];
+        const RouterParams::VcRange vcs = params_.classVcRange(cls);
+        const unsigned count = vcs.hi - vcs.lo;
+        const unsigned start = class_rr_[cls] % count;
+        for (unsigned i = 0; i < count; ++i) {
+            const unsigned v = vcs.lo + (start + i) % count;
             const VcTracker &tracker = trackers_[v];
             const bool drained =
                 tracker.credits == params_.bufferDepth;
@@ -126,7 +127,7 @@ NetworkInterface::doInject(Cycle cycle, LinkIo &io)
                 stream_vc_ = v;
                 trackers_[v].free = false;
                 class_rr_[cls] =
-                    static_cast<std::uint8_t>((start + i + 1) % vcs.size());
+                    static_cast<std::uint8_t>((start + i + 1) % count);
                 break;
             }
         }

@@ -111,9 +111,12 @@ Network::recomputeLiveness()
 }
 
 void
-Network::forceRouterActive(NodeId node)
+Network::setTapHook(Router::TapHook hook)
 {
-    force_active_[static_cast<std::size_t>(node)] = 1;
+    tap_hook_ = std::move(hook);
+    tap_force_all_ = static_cast<bool>(tap_hook_);
+    if (!tap_hook_)
+        std::fill(force_active_.begin(), force_active_.end(), 0);
 }
 
 void
@@ -691,8 +694,24 @@ Network::quiescent() const
 bool
 Network::sameState(const Network &other) const
 {
-    if (cycle_ != other.cycle_ ||
-        !routing_->sameQuarantine(*other.routing_) ||
+    return cycle_ == other.cycle_ && sameMachine(other, false);
+}
+
+bool
+Network::repeats(const Network &earlier) const
+{
+    if (nis_.size() != earlier.nis_.size())
+        return false;
+    for (std::size_t i = 0; i < nis_.size(); ++i)
+        if (nis_[i].flitsEjected() != earlier.nis_[i].flitsEjected())
+            return false;
+    return sameMachine(earlier, true);
+}
+
+bool
+Network::sameMachine(const Network &other, bool stale_slots) const
+{
+    if (!routing_->sameQuarantine(*other.routing_) ||
         links_.size() != other.links_.size() ||
         nis_.size() != other.nis_.size() ||
         routers_.size() != other.routers_.size())
@@ -704,7 +723,7 @@ Network::sameState(const Network &other) const
         if (!nis_[i].sameState(other.nis_[i]))
             return false;
     for (std::size_t i = 0; i < routers_.size(); ++i)
-        if (!routers_[i].sameState(other.routers_[i]))
+        if (!routers_[i].sameState(other.routers_[i], stale_slots))
             return false;
     return traffic_.sameState(other.traffic_);
 }

@@ -62,7 +62,7 @@ namespace nocalert::noc {
  * snapshots, no branchy checker bank — and reports any invariant
  * fires as one violation word through the packed observer. Routers
  * the screen rejects (suspect state, anomalous stimulus) and pinned
- * routers (tap hooks, forced-active) take the branchy path, so
+ * routers (a tap hook and its focus) take the branchy path, so
  * behaviour under faults is bit-identical to Dense/Active; the
  * three-way kernel-equivalence tests pin this. Per-router observers
  * do not fire for fast-path routers (install a packed observer to
@@ -138,19 +138,13 @@ class Network
     std::uint64_t niEvaluations() const { return ni_evals_; }
 
     /**
-     * Pin router @p node into the active set: it evaluates every
-     * cycle even while quiescent. Used for routers carrying an armed
-     * fault site, so an injection on an idle router still fires at
-     * exactly its scheduled cycle. Cleared by copies.
-     */
-    void forceRouterActive(NodeId node);
-
-    /**
      * Narrow tap delivery to @p nodes. setTapHook() conservatively
      * pins *every* router active (a hook may need to see any router's
      * taps); callers that only tap specific routers — the fault
      * injector taps the armed sites — call this afterwards so the
-     * remaining routers can be scheduled out again.
+     * remaining routers can be scheduled out again. The focused
+     * routers stay pinned (evaluated every cycle, on the branchy
+     * path) until the hook is cleared. Copies start unpinned.
      */
     void setTapFocus(const std::vector<NodeId> &nodes);
 
@@ -184,6 +178,19 @@ class Network
     bool sameState(const Network &other) const;
 
     /**
+     * True iff this network is back in the state of @p earlier, a
+     * copy of it taken at an earlier cycle: everything a later step
+     * can read is equal (sameState's items without the cycle, plus
+     * the stale FIFO slots and head offsets, which a corrupted
+     * RouteWait record or schedule reads) and no NI ejected a flit
+     * in between (each NI's ejected-flit count is unchanged). Once
+     * generation has stopped and no fault is armed, every step is the
+     * same function of this state, so the network repeats the cycles
+     * since @p earlier forever, ejecting nothing (DESIGN.md §16).
+     */
+    bool repeats(const Network &earlier) const;
+
+    /**
      * Router of node @p node. The non-const accessor also wakes the
      * router: callers may mutate architectural state directly (tests,
      * fault models), which can turn a scheduled-out router live again.
@@ -205,13 +212,9 @@ class Network
     /**
      * Install the per-router tap hook (fault injection). A non-null
      * hook pins every router active (see setTapFocus to narrow); a
-     * null hook releases the pin.
+     * null hook releases every pin, focused routers included.
      */
-    void setTapHook(Router::TapHook hook)
-    {
-        tap_hook_ = std::move(hook);
-        tap_force_all_ = static_cast<bool>(tap_hook_);
-    }
+    void setTapHook(Router::TapHook hook);
 
     /** Install the per-router cycle observer (checker engines). */
     void setRouterObserver(RouterObserver obs)
@@ -305,6 +308,9 @@ class Network
     void stepDense();
     void stepBitmask();
     void recomputeLiveness();
+    /** sameState without the cycle; @p stale_slots: also FIFO slots
+     *  past the live contents and head offsets. */
+    bool sameMachine(const Network &other, bool stale_slots) const;
     int inLinkIndex(NodeId node, int port) const;
     int outLinkIndex(NodeId node, int port) const;
 
@@ -357,7 +363,7 @@ class Network
     std::vector<PackedRouterState> packed_;
     /** Shared VA scratch for fast-path evaluations. */
     PackedScratch packed_scratch_;
-    /** Per router: pinned active (fault sites, direct mutation). */
+    /** Per router: pinned active (the tap focus). */
     std::vector<char> force_active_;
     /** Tap hook present and not narrowed: pin all routers active. */
     bool tap_force_all_ = false;

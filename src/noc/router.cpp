@@ -98,7 +98,7 @@ Router::va1Pointer(int port, unsigned vc)
 }
 
 bool
-Router::sameState(const Router &other) const
+Router::sameState(const Router &other, bool stale_slots) const
 {
     if (node_ != other.node_ || records_ != other.records_ ||
         outVcs_ != other.outVcs_ || sched_ != other.sched_ ||
@@ -107,7 +107,8 @@ Router::sameState(const Router &other) const
         va1Ptr_ != other.va1Ptr_ || fifos_.size() != other.fifos_.size())
         return false;
     for (std::size_t i = 0; i < fifos_.size(); ++i)
-        if (!fifos_[i].sameContents(other.fifos_[i]))
+        if (stale_slots ? !fifos_[i].sameSlots(other.fifos_[i])
+                        : !fifos_[i].sameContents(other.fifos_[i]))
             return false;
     return true;
 }
@@ -530,10 +531,9 @@ Router::doVcAllocation(const Context &ctx, const TapHook *hook)
             const unsigned cls =
                 rec.msgClass < params_.classes.size() ? rec.msgClass : 0;
 
+            const RouterParams::VcRange range = params_.classVcRange(cls);
             std::uint64_t candidates = 0;
-            for (unsigned w = 0; w < num_vcs; ++w) {
-                if (params_.vcClass(w) != cls)
-                    continue;
+            for (unsigned w = range.lo; w < range.hi; ++w) {
                 const OutVcState &ov = outVcs_[vcIndex(o, w)];
                 if (!ov.free)
                     continue;

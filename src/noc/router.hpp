@@ -173,10 +173,11 @@ class Router
      * Architectural-state equality with a router of the same node and
      * configuration: VC records, live FIFO contents, the out-VC table,
      * the SA->ST schedule, every arbiter pointer and the VA1 pointers.
-     * The wire record (rebuilt by every evaluation) and the stale FIFO
-     * slots and head offsets are ignored (DESIGN.md §16).
+     * The wire record (rebuilt by every evaluation) is ignored, and so
+     * are the stale FIFO slots and head offsets unless
+     * @p stale_slots (DESIGN.md §16).
      */
-    bool sameState(const Router &other) const;
+    bool sameState(const Router &other, bool stale_slots = false) const;
 
     /** True iff no flits are buffered and no reads are scheduled. */
     bool idle() const;

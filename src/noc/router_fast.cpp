@@ -386,16 +386,9 @@ Router::evaluateFast(const Context &ctx, Cycle cycle, LinkIo &io,
             const unsigned cls =
                 rec.msgClass < num_classes ? rec.msgClass : 0;
 
-            // vcClass() = floor(w * C / V) is monotone in w, so class
-            // cls owns the contiguous VC range [lo, hi) — iterate it
-            // directly instead of classifying every VC.
-            const unsigned lo = num_classes != 0
-                ? (cls * num_vcs + num_classes - 1) / num_classes : 0;
-            const unsigned hi = num_classes != 0
-                ? ((cls + 1) * num_vcs + num_classes - 1) / num_classes
-                : num_vcs;
+            const RouterParams::VcRange range = params_.classVcRange(cls);
             std::uint64_t candidates = 0;
-            for (unsigned w = lo; w < hi; ++w) {
+            for (unsigned w = range.lo; w < range.hi; ++w) {
                 const OutVcState &ov = outVcs_[vcIndex(o, w)];
                 if (!ov.free)
                     continue;

@@ -26,15 +26,16 @@ TEST(TelemetryHub, CountersAccumulatePerLabel)
 
 TEST(TelemetryHub, BumpCountsAnEventWithoutARun)
 {
-    TelemetryHub hub(10, 1, {"tn", "stop"});
+    TelemetryHub hub(10, 1, {"tn", "stop", "repeat"});
     hub.recordRun(0);
     hub.bump(1);
     hub.bump(1);
+    hub.bump(2);
 
     const TelemetrySnapshot snap = hub.snapshot();
     EXPECT_EQ(snap.runsCompleted, 1u);
-    EXPECT_EQ(snap.counters, (std::vector<std::uint64_t>{1, 2}));
-    EXPECT_NE(TelemetryHub::progressLine(snap).find("stop=2"),
+    EXPECT_EQ(snap.counters, (std::vector<std::uint64_t>{1, 2, 1}));
+    EXPECT_NE(TelemetryHub::progressLine(snap).find("stop=2 repeat=1"),
               std::string::npos);
 }
 

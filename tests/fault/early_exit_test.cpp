@@ -5,21 +5,30 @@
  *    any compared component of a router, NI, link, generator or
  *    ForEVeR model breaks equality; stale FIFO slots and link
  *    payloads, logs, statistics, wires and kernel caches do not.
+ *    Network::repeats ignores the cycle but counts stale FIFO slots,
+ *    head offsets and ejections since the earlier copy.
  *  - Differential battery: for every kernel and workload, each run
- *    against the checkpointed reference serializes exactly like the
- *    same run against a bare-log reference of the same golden log,
- *    which has no checkpoints and so always runs its full horizon.
- *    Each case must stop at least one run, so the battery is never
- *    vacuous.
+ *    (against the checkpointed reference, and against a bare-log
+ *    reference of the same golden log, which has no checkpoints)
+ *    serializes exactly like fullHorizonRun below: runSingle's wiring
+ *    with the injector attached throughout and every cycle of the
+ *    window, the drain and ForEVeR's tail simulated. Each case must
+ *    converge at least one run, so the battery is never vacuous;
+ *    across the cases it covers runs that repeat during the drain and
+ *    in the tail, ForEVeR detections from the bookkeeping after a cut,
+ *    runs never stopped early, and permanent and recovery runs, which
+ *    are never stopped early.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/nocalert.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "fault/sampled.hpp"
@@ -27,6 +36,7 @@
 #include "fault/site.hpp"
 #include "forever/forever.hpp"
 #include "noc/network.hpp"
+#include "recovery/orchestrator.hpp"
 
 #ifndef NOCALERT_TEST_DATA
 #error "NOCALERT_TEST_DATA must point at tests/data"
@@ -320,6 +330,52 @@ TEST(StateEquality, IdleStreamRegistersAndPlainDirtyBitAreIgnored)
     EXPECT_TRUE(clean.sameState(dirty));
 }
 
+TEST(StateEquality, RepeatsIgnoresTheCycleButNotStaleSlotsOrEjections)
+{
+    // A drained network with generation stopped stands still once its
+    // last credits are home.
+    noc::NetworkConfig config;
+    config.width = config.height = 4;
+    noc::TrafficSpec traffic;
+    traffic.injectionRate = 0.12;
+    traffic.seed = 5;
+    traffic.stopCycle = 300;
+    noc::Network net(config, traffic);
+    net.setKernelMode(KernelMode::Bitmask);
+    net.run(300);
+    ASSERT_TRUE(net.drain(2000));
+    net.run(8);
+    const noc::Network earlier(net);
+    net.run(64);
+    EXPECT_FALSE(net.sameState(earlier)); // the cycle differs
+    EXPECT_TRUE(net.repeats(earlier));
+
+    // A stale slot and a moved head, with equal live contents.
+    const auto idle = findVc(net, /*empty=*/true);
+    ASSERT_TRUE(idle);
+    noc::Network stale(net);
+    noc::VcFifo &fifo = stale.router(idle->node).fifo(idle->port, idle->vc);
+    fifo.push(flitTo(idle->node, 7, 0, noc::FlitType::Head));
+    fifo.pop();
+    EXPECT_TRUE(stale.router(idle->node).sameState(net.router(idle->node)));
+    EXPECT_FALSE(stale.router(idle->node).sameState(net.router(idle->node),
+                                                    /*stale_slots=*/true));
+    EXPECT_FALSE(stale.repeats(earlier));
+
+    // A second sighting of an open packet's head leaves the NI's
+    // state as it was, but the flit was ejected: the log grew.
+    noc::Network open(net);
+    ejectCycle(open.ni(0), open.cycle(),
+               flitTo(0, 21, 0, noc::FlitType::Head));
+    const noc::Network before(open);
+    ejectCycle(open.ni(0), open.cycle(),
+               flitTo(0, 21, 0, noc::FlitType::Head));
+    EXPECT_TRUE(open.sameState(before));
+    EXPECT_EQ(open.ni(0).ejectionLog().size(),
+              before.ni(0).ejectionLog().size() + 1);
+    EXPECT_FALSE(open.repeats(before));
+}
+
 TEST(StateEquality, WorkloadGeneratorComparesItsStreams)
 {
     const noc::Network net = warmNetwork();
@@ -436,22 +492,139 @@ bareReference(const CampaignConfig &config, const noc::Network &base)
     return GoldenReference(golden.collectEjections());
 }
 
+/**
+ * The full-horizon oracle: FaultCampaign::runSingle's wiring with none
+ * of its shortcuts. The injector stays attached (its router pinned)
+ * for the whole run, and every cycle of the window, the drain and
+ * ForEVeR's epochLength + 2 tail is simulated.
+ */
+FaultRunResult
+fullHorizonRun(const CampaignConfig &config, const noc::Network &base,
+               const GoldenReference &golden, const FaultSite &site,
+               noc::Cycle inject_offset)
+{
+    noc::Network net(base);
+    core::NoCAlertEngine engine(net, /*attach_now=*/false);
+    std::optional<forever::ForeverModel> fever;
+    if (config.runForever)
+        fever.emplace(net, config.forever, /*attach_now=*/false);
+    std::optional<recovery::RecoveryOrchestrator> orchestrator;
+    if (config.recovery)
+        orchestrator.emplace(net, engine);
+    net.setPackedObserver(
+        [&](const noc::Router &router, const noc::PackedCycleEvents &ev) {
+            engine.observePacked(router, ev);
+        });
+    net.setRouterObserver(
+        [&](const noc::Router &router, const noc::RouterWires &wires) {
+            engine.observeRouter(router, wires);
+            if (fever)
+                fever->observeRouter(router, wires);
+        });
+    net.setNiObserver(
+        [&](const noc::NetworkInterface &ni, const noc::NiWires &wires) {
+            engine.observeNi(ni, wires);
+            if (fever)
+                fever->observeNi(ni, wires);
+        });
+    net.setCycleObserver([&](const noc::Network &n) {
+        if (fever)
+            fever->onCycleEnd(n);
+        if (orchestrator)
+            orchestrator->onCycleEnd(n.cycle());
+    });
+    const auto totals = [](const noc::Network &n) {
+        std::array<std::uint64_t, 3> sum = {};
+        for (noc::NodeId node = 0; node < n.config().numNodes(); ++node) {
+            sum[0] += n.ni(node).retransmits();
+            sum[1] += n.ni(node).duplicatesSuppressed();
+            sum[2] += n.ni(node).packetsAbandoned();
+        }
+        return sum;
+    };
+    const auto warm = totals(base);
+
+    FaultRunResult result;
+    result.site = site;
+    result.injectCycle = net.cycle() + inject_offset;
+    FaultInjector injector;
+    injector.arm({site, result.injectCycle, config.kind});
+    injector.attach(net);
+
+    net.run(config.observeWindow);
+    result.drained = net.drain(config.drainLimit);
+    if (!result.drained && config.recovery) {
+        result.drained = true;
+        for (noc::NodeId node = 0; node < net.config().numNodes(); ++node)
+            result.drained = result.drained && net.ni(node).idle();
+    }
+    if (fever)
+        net.run(config.forever.epochLength + 2);
+
+    const GoldenComparison comparison =
+        golden.compare(net.collectEjections(), result.drained);
+    result.violated = comparison.violated();
+    result.violatedConditions = comparison.conditions();
+    const core::AlertLog &log = engine.log();
+    if (auto first = log.firstCycle()) {
+        result.detected = true;
+        result.detectionLatency = *first - result.injectCycle;
+        result.alertAtInjection = *first == result.injectCycle;
+        result.simultaneousCheckers =
+            static_cast<unsigned>(log.invariantsAtCycle(*first).size());
+    }
+    if (auto first = log.firstCautiousCycle()) {
+        result.detectedCautious = true;
+        result.cautiousLatency = *first - result.injectCycle;
+    }
+    result.invariants = log.distinctInvariants();
+    if (fever) {
+        if (auto first = fever->firstDetection(result.injectCycle)) {
+            result.foreverDetected = true;
+            result.foreverLatency = *first - result.injectCycle;
+        }
+    }
+    if (orchestrator) {
+        const recovery::OrchestratorStats &stats = orchestrator->stats();
+        result.recoveryTriggered = stats.actions > 0;
+        result.recoveryActions = stats.actions;
+        result.quarantinedPorts = stats.quarantinedPorts;
+        result.purgedFlits = stats.purgedFlits;
+        if (stats.actions > 0)
+            result.recoveryCycle = stats.firstActionCycle;
+        const auto after = totals(net);
+        result.retransmits = after[0] - warm[0];
+        result.duplicatesSuppressed = after[1] - warm[1];
+        result.packetsAbandoned = after[2] - warm[2];
+        result.recovered =
+            result.detected && !result.violated && result.drained &&
+            (result.recoveryTriggered || result.retransmits > 0);
+    }
+    return result;
+}
+
 struct Draw
 {
     FaultSite site;
     noc::Cycle offset = 0;
 };
 
+/** What the runs against the checkpointed reference did. */
 struct Tally
 {
     std::size_t runs = 0;
-    std::size_t stopped = 0;
+    std::size_t converged = 0;
     std::size_t foreverFromGolden = 0;
+    std::size_t repeatedDraining = 0; ///< Cut while the drain ran.
+    std::size_t repeatedInTail = 0;   ///< Cut in the tail, drained.
+    std::size_t foreverAfterRepeat = 0; ///< First alarm after the cut.
+    std::size_t full = 0;             ///< Neither shortcut.
 };
 
 /**
- * Run every draw on every kernel against both references and require
- * identical records. Returns what the checkpointed runs did.
+ * Run every draw on every kernel against the checkpointed and the
+ * bare-log reference and require each record to equal the
+ * full-horizon oracle's. Returns what the checkpointed runs did.
  */
 Tally
 runBattery(const CampaignConfig &config, const std::vector<Draw> &draws,
@@ -459,9 +632,9 @@ runBattery(const CampaignConfig &config, const std::vector<Draw> &draws,
 {
     const FaultCampaign::PreparedReference prepared =
         FaultCampaign::prepareReference(config, config.workload.seed());
-    EXPECT_FALSE(prepared.golden.checkpoints().empty());
     const GoldenReference bare = bareReference(config, prepared.base);
     EXPECT_EQ(bare.flitCount(), prepared.golden.flitCount());
+    const noc::Cycle window_end = prepared.base.cycle() + config.observeWindow;
 
     Tally tally;
     for (const KernelMode mode :
@@ -472,24 +645,37 @@ runBattery(const CampaignConfig &config, const std::vector<Draw> &draws,
             SCOPED_TRACE(draw.site.describe() + " +" +
                          std::to_string(draw.offset) + " kernel " +
                          std::to_string(static_cast<int>(mode)));
-            std::optional<noc::Cycle> stop;
-            std::optional<noc::Cycle> full_stop;
-            const FaultRunResult early = FaultCampaign::runSingle(
+            FaultCampaign::EarlyExit early;
+            FaultCampaign::EarlyExit bare_early;
+            const FaultRunResult run = FaultCampaign::runSingle(
                 config, base, prepared.golden, draw.site, draw.offset,
-                &stop);
-            const FaultRunResult full = FaultCampaign::runSingle(
-                config, base, bare, draw.site, draw.offset, &full_stop);
-            EXPECT_FALSE(full_stop);
-            EXPECT_EQ(toJson(early, sampled).dump(),
-                      toJson(full, sampled).dump());
+                &early);
+            const FaultRunResult bare_run = FaultCampaign::runSingle(
+                config, base, bare, draw.site, draw.offset, &bare_early);
+            const FaultRunResult full =
+                fullHorizonRun(config, base, bare, draw.site, draw.offset);
+            const std::string want = toJson(full, sampled).dump();
+            EXPECT_EQ(toJson(run, sampled).dump(), want);
+            EXPECT_EQ(toJson(bare_run, sampled).dump(), want);
+            EXPECT_FALSE(bare_early.converged);
             ++tally.runs;
-            if (!stop)
-                continue;
-            EXPECT_GT(*stop, early.injectCycle);
-            ++tally.stopped;
-            if (early.foreverDetected &&
-                early.injectCycle + early.foreverLatency >= *stop)
-                ++tally.foreverFromGolden;
+            if (early.converged) {
+                EXPECT_GT(*early.converged, run.injectCycle);
+                EXPECT_FALSE(early.repeated);
+                ++tally.converged;
+                if (run.foreverDetected &&
+                    run.injectCycle + run.foreverLatency >= *early.converged)
+                    ++tally.foreverFromGolden;
+            } else if (early.repeated) {
+                EXPECT_EQ(*early.repeated, window_end + kRepeatOffsets[1]);
+                ++(run.drained ? tally.repeatedInTail
+                               : tally.repeatedDraining);
+                if (run.foreverDetected &&
+                    run.injectCycle + run.foreverLatency >= *early.repeated)
+                    ++tally.foreverAfterRepeat;
+            } else {
+                ++tally.full;
+            }
         }
     }
     return tally;
@@ -510,14 +696,19 @@ TEST(EarlyExitDifferential, WarmSynthetic8x8)
 {
     const CampaignConfig config = battery(8, 600);
     const Tally tally = runBattery(config, siteDraws(config, 6), false);
-    EXPECT_GT(tally.stopped, 0u);
+    EXPECT_GT(tally.converged, 0u);
+    EXPECT_GT(tally.repeatedDraining, 0u);
+    EXPECT_GT(tally.repeatedInTail, 0u);
+    EXPECT_GT(tally.full, 0u);
 }
 
 TEST(EarlyExitDifferential, ColdInstant)
 {
     const CampaignConfig config = battery(4, 0);
     const Tally tally = runBattery(config, siteDraws(config, 12), false);
-    EXPECT_GT(tally.stopped, 0u);
+    EXPECT_GT(tally.converged, 0u);
+    EXPECT_GT(tally.repeatedDraining, 0u);
+    EXPECT_GT(tally.repeatedInTail, 0u);
 }
 
 TEST(EarlyExitDifferential, PhasedWithBursts)
@@ -537,10 +728,12 @@ TEST(EarlyExitDifferential, PhasedWithBursts)
     config.forever.epochLength = 150; // golden alarms twice
     config = normalizedCampaignConfig(config);
     const Tally tally = runBattery(config, siteDraws(config, 12), false);
-    EXPECT_GT(tally.stopped, 0u);
+    EXPECT_GT(tally.converged, 0u);
     // ForEVeR fires fault-free under this load, so stopped runs take
     // their detection from golden's alarm list.
     EXPECT_GT(tally.foreverFromGolden, 0u);
+    // This load still drains at window end + 128: nothing repeats.
+    EXPECT_GT(tally.full, 0u);
 }
 
 TEST(EarlyExitDifferential, TraceReplay)
@@ -551,7 +744,9 @@ TEST(EarlyExitDifferential, TraceReplay)
         std::string(NOCALERT_TEST_DATA) + "/phased_4x4.trace";
     config = normalizedCampaignConfig(config);
     const Tally tally = runBattery(config, siteDraws(config, 12), false);
-    EXPECT_GT(tally.stopped, 0u);
+    EXPECT_GT(tally.converged, 0u);
+    EXPECT_GT(tally.repeatedDraining, 0u);
+    EXPECT_GT(tally.repeatedInTail, 0u);
 }
 
 TEST(EarlyExitDifferential, SampledWithCycleJitter)
@@ -573,7 +768,45 @@ TEST(EarlyExitDifferential, SampledWithCycleJitter)
         return d.offset >= kCheckpointOffsets.back();
     }));
     const Tally tally = runBattery(config, draws, true);
-    EXPECT_GT(tally.stopped, 0u);
+    EXPECT_GT(tally.converged, 0u);
+    // A jittered run's first ForEVeR alarm can fall past the cut: the
+    // bookkeeping ForEVeR runs alone after it raises it.
+    EXPECT_GT(tally.foreverAfterRepeat, 0u);
+}
+
+TEST(EarlyExitDifferential, PermanentAndRecoveryRunsAreNeverCut)
+{
+    // A permanent fault keeps its injector and its router's pin; a
+    // recovery run carries orchestrator state and retransmits.
+    CampaignConfig permanent = battery(4, 200);
+    permanent.kind = FaultKind::Permanent;
+    CampaignConfig recovery = permanent;
+    recovery.recovery = true;
+    recovery = normalizedCampaignConfig(recovery);
+    for (const CampaignConfig &config : {permanent, recovery}) {
+        const FaultCampaign::PreparedReference prepared =
+            FaultCampaign::prepareReference(config, config.workload.seed());
+        for (const KernelMode mode :
+             {KernelMode::Dense, KernelMode::Active, KernelMode::Bitmask}) {
+            noc::Network base(prepared.base);
+            base.setKernelMode(mode);
+            for (const Draw &draw : siteDraws(config, 6)) {
+                SCOPED_TRACE(draw.site.describe() + " kernel " +
+                             std::to_string(static_cast<int>(mode)) +
+                             (config.recovery ? " recovery" : ""));
+                FaultCampaign::EarlyExit early;
+                const FaultRunResult run = FaultCampaign::runSingle(
+                    config, base, prepared.golden, draw.site, 0, &early);
+                EXPECT_FALSE(early.converged);
+                EXPECT_FALSE(early.repeated);
+                EXPECT_EQ(toJson(run).dump(),
+                          toJson(fullHorizonRun(config, base,
+                                                prepared.golden,
+                                                draw.site, 0))
+                              .dump());
+            }
+        }
+    }
 }
 
 TEST(EarlyExit, OnlyPlainTransientCampaignsStopEarly)
@@ -599,19 +832,56 @@ TEST(EarlyExit, OnlyPlainTransientCampaignsStopEarly)
     // transient one stops.
     std::size_t transient_stops = 0;
     for (const Draw &draw : siteDraws(transient, 8)) {
-        std::optional<noc::Cycle> stop;
+        FaultCampaign::EarlyExit early;
         FaultCampaign::runSingle(transient, prepared.base, prepared.golden,
-                                 draw.site, 0, &stop);
-        if (!stop)
+                                 draw.site, 0, &early);
+        if (!early.converged)
             continue;
         ++transient_stops;
         for (const CampaignConfig *config : {&permanent, &retransmit}) {
             FaultCampaign::runSingle(*config, prepared.base,
-                                     prepared.golden, draw.site, 0, &stop);
-            EXPECT_FALSE(stop) << draw.site.describe();
+                                     prepared.golden, draw.site, 0, &early);
+            EXPECT_FALSE(early.converged) << draw.site.describe();
+            EXPECT_FALSE(early.repeated) << draw.site.describe();
         }
     }
     EXPECT_GT(transient_stops, 0u);
+}
+
+TEST(EarlyExit, ProgressCountsConvergedAndRepeatedRuns)
+{
+    CampaignConfig config = battery(4, 0);
+    config.maxSites = 12;
+    config.jobs = 2;
+    exec::TelemetrySnapshot last;
+    FaultCampaign::RunOptions options;
+    options.telemetry = [&](const exec::TelemetrySnapshot &snap) {
+        last = snap;
+    };
+    const CampaignResult result = FaultCampaign(config).run({}, options);
+
+    // The same runs, one by one.
+    const FaultCampaign::PreparedReference prepared =
+        FaultCampaign::prepareReference(config, config.workload.seed());
+    std::uint64_t converged = 0;
+    std::uint64_t repeated = 0;
+    for (const FaultRunResult &run : result.runs) {
+        FaultCampaign::EarlyExit early;
+        FaultCampaign::runSingle(config, prepared.base, prepared.golden,
+                                 run.site, 0, &early);
+        converged += early.converged ? 1 : 0;
+        repeated += early.repeated ? 1 : 0;
+    }
+    ASSERT_GT(repeated, 0u);
+    const auto count = [&](const std::string &label) {
+        for (std::size_t i = 0; i < last.counterLabels.size(); ++i)
+            if (last.counterLabels[i] == label)
+                return last.counters[i];
+        ADD_FAILURE() << "no counter " << label;
+        return std::uint64_t{0};
+    };
+    EXPECT_EQ(count("stop"), converged);
+    EXPECT_EQ(count("repeat"), repeated);
 }
 
 TEST(EarlyExit, NetworkMatchWithoutForeverMatchRunsOn)
@@ -652,13 +922,14 @@ TEST(EarlyExit, NetworkMatchWithoutForeverMatchRunsOn)
     }
     ASSERT_TRUE(found) << "no run matched a checkpoint's network only";
 
-    std::optional<noc::Cycle> stop;
+    FaultCampaign::EarlyExit stop;
     const FaultRunResult early = FaultCampaign::runSingle(
         config, prepared.base, prepared.golden, *found, 0, &stop);
-    EXPECT_NE(stop, std::optional<noc::Cycle>(at)) << found->describe();
+    EXPECT_NE(stop.converged, std::optional<noc::Cycle>(at))
+        << found->describe();
     const GoldenReference bare = bareReference(config, prepared.base);
     const FaultRunResult full =
-        FaultCampaign::runSingle(config, prepared.base, bare, *found);
+        fullHorizonRun(config, prepared.base, bare, *found, 0);
     EXPECT_EQ(toJson(early).dump(), toJson(full).dump());
 }
 

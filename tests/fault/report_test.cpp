@@ -96,6 +96,13 @@ TEST(CampaignReport, SummaryTextMentionsDetectors)
         std::to_string(summary.detectionLatency.percentile(0.99));
     EXPECT_NE(text.find(", p99 " + p99 + ", max "), std::string::npos)
         << text;
+    const Histogram &fever = summary.foreverLatency;
+    ASSERT_FALSE(fever.empty());
+    EXPECT_NE(text.find("ForEVeR latency: p50 " +
+                        std::to_string(fever.percentile(0.5)) + ", max " +
+                        std::to_string(fever.max()) + " cycles\n"),
+              std::string::npos)
+        << text;
     const auto fn = static_cast<unsigned>(Outcome::FalseNegative);
     EXPECT_NE(text.find("false negatives (must be 0): " +
                         std::to_string(summary.nocalert[fn]) + "\n"),

@@ -111,6 +111,26 @@ TEST(Config, HopDistance)
               5);
 }
 
+/** The VCs vcClass() assigns to @p cls, in increasing order. */
+std::vector<unsigned>
+enumerateClassVcs(const RouterParams &params, unsigned cls)
+{
+    std::vector<unsigned> vcs;
+    for (unsigned v = 0; v < params.numVcs; ++v)
+        if (params.vcClass(v) == cls)
+            vcs.push_back(v);
+    return vcs;
+}
+
+std::vector<unsigned>
+rangeVcs(const RouterParams::VcRange &range)
+{
+    std::vector<unsigned> vcs;
+    for (unsigned v = range.lo; v < range.hi; ++v)
+        vcs.push_back(v);
+    return vcs;
+}
+
 TEST(Config, VcClassPartition)
 {
     RouterParams params; // 4 VCs, 2 classes
@@ -118,10 +138,29 @@ TEST(Config, VcClassPartition)
     EXPECT_EQ(params.vcClass(1), 0u);
     EXPECT_EQ(params.vcClass(2), 1u);
     EXPECT_EQ(params.vcClass(3), 1u);
-    EXPECT_EQ(params.classVcs(0), (std::vector<unsigned>{0, 1}));
-    EXPECT_EQ(params.classVcs(1), (std::vector<unsigned>{2, 3}));
+    EXPECT_EQ(rangeVcs(params.classVcRange(0)),
+              (std::vector<unsigned>{0, 1}));
+    EXPECT_EQ(rangeVcs(params.classVcRange(1)),
+              (std::vector<unsigned>{2, 3}));
     EXPECT_EQ(params.classLength(0), 1);
     EXPECT_EQ(params.classLength(1), 5);
+
+    // The range is vcClass()'s partition for every VC count and class
+    // count validate() accepts (and empty past the last class).
+    for (unsigned vcs = 1; vcs <= 8; ++vcs) {
+        for (unsigned classes = 1; classes <= vcs; ++classes) {
+            RouterParams p;
+            p.numVcs = vcs;
+            p.classes.assign(classes, {"c", 1});
+            p.validate();
+            for (unsigned cls = 0; cls <= classes; ++cls) {
+                EXPECT_EQ(rangeVcs(p.classVcRange(cls)),
+                          enumerateClassVcs(p, cls))
+                    << vcs << " VCs, " << classes << " classes, class "
+                    << cls;
+            }
+        }
+    }
 }
 
 TEST(Config, UnevenVcClassPartition)
@@ -131,9 +170,13 @@ TEST(Config, UnevenVcClassPartition)
     EXPECT_EQ(params.vcClass(0), 0u);
     EXPECT_EQ(params.vcClass(1), 0u);
     EXPECT_EQ(params.vcClass(2), 1u);
+    EXPECT_EQ(rangeVcs(params.classVcRange(0)),
+              enumerateClassVcs(params, 0));
+    EXPECT_EQ(rangeVcs(params.classVcRange(1)),
+              enumerateClassVcs(params, 1));
     // Every class owns at least one VC.
-    EXPECT_FALSE(params.classVcs(0).empty());
-    EXPECT_FALSE(params.classVcs(1).empty());
+    EXPECT_LT(params.classVcRange(0).lo, params.classVcRange(0).hi);
+    EXPECT_LT(params.classVcRange(1).lo, params.classVcRange(1).hi);
 }
 
 TEST(Config, ValidationRejectsBadParameters)

@@ -186,6 +186,21 @@ TEST(Network, SettingATapHookPinsAllRoutersActive)
     EXPECT_EQ(taps, 5); // only the focused router evaluates
 }
 
+TEST(Network, ClearingTheTapHookReleasesEveryPin)
+{
+    Network net(mesh(3, 3), traffic(0.0));
+    net.setTapHook([](Router &, TapPoint, RouterWires &) {});
+    net.setTapFocus({4});
+    net.run(5);
+    EXPECT_EQ(net.routerEvaluations(), 5u); // the focused router only
+
+    // A null hook unpins the focused router too: an idle network
+    // evaluates nothing.
+    net.setTapHook(nullptr);
+    net.run(5);
+    EXPECT_EQ(net.routerEvaluations(), 5u);
+}
+
 TEST(Network, MutableRouterAccessWakesTheRouter)
 {
     Network net(mesh(3, 3), traffic(0.0));
