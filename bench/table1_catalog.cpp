@@ -84,9 +84,7 @@ main()
     for (const core::InvariantInfo &info : core::invariantCatalog()) {
         const hw::GateCounts gates = hw::checkerGates(info.id, config);
         const double area = lib.areaUm2(gates);
-        const bool active =
-            !(info.nonAtomicOnly && config.router.atomicBuffers);
-        if (active)
+        if (core::invariantApplies(info, config.router))
             checker_total += area;
         table.addRow({std::to_string(core::invariantIndex(info.id)),
                       info.name, core::moduleClassName(info.module),

@@ -24,15 +24,8 @@ unsigned
 armedInvariants(const noc::RouterParams &params)
 {
     unsigned count = 0;
-    for (const core::InvariantInfo &info : core::invariantCatalog()) {
-        if (info.atomicOnly && !params.atomicBuffers)
-            continue;
-        if (info.nonAtomicOnly && params.atomicBuffers)
-            continue;
-        if (info.needsVcs && params.numVcs <= 1)
-            continue;
-        ++count;
-    }
+    for (const core::InvariantInfo &info : core::invariantCatalog())
+        count += core::invariantApplies(info, params);
     return count;
 }
 

@@ -64,22 +64,8 @@ parseRouting(const std::string &name)
 noc::TrafficPattern
 parsePattern(const std::string &name)
 {
-    if (name == "uniform")
-        return noc::TrafficPattern::UniformRandom;
-    if (name == "transpose")
-        return noc::TrafficPattern::Transpose;
-    if (name == "bit-complement")
-        return noc::TrafficPattern::BitComplement;
-    if (name == "hotspot")
-        return noc::TrafficPattern::Hotspot;
-    if (name == "tornado")
-        return noc::TrafficPattern::Tornado;
-    if (name == "shuffle")
-        return noc::TrafficPattern::Shuffle;
-    if (name == "bit-reverse")
-        return noc::TrafficPattern::BitReverse;
-    if (name == "neighbor")
-        return noc::TrafficPattern::Neighbor;
+    if (const auto pattern = noc::trafficPatternFromName(name))
+        return *pattern;
     NOCALERT_FATAL("unknown pattern '", name, "'");
 }
 

@@ -1,5 +1,6 @@
 #include "core/invariant.hpp"
 
+#include "noc/config.hpp"
 #include "util/log.hpp"
 
 namespace nocalert::core {
@@ -224,6 +225,14 @@ const char *
 invariantName(InvariantId id)
 {
     return invariantInfo(id).name;
+}
+
+bool
+invariantApplies(const InvariantInfo &info, const noc::RouterParams &params)
+{
+    return !(info.atomicOnly && !params.atomicBuffers) &&
+           !(info.nonAtomicOnly && params.atomicBuffers) &&
+           !(info.needsVcs && params.numVcs <= 1);
 }
 
 } // namespace nocalert::core

@@ -15,6 +15,10 @@
 #include <string>
 #include <vector>
 
+namespace nocalert::noc {
+struct RouterParams;
+} // namespace nocalert::noc
+
 namespace nocalert::core {
 
 /** Identifier of an invariance checker (1-based, as in Table 1). */
@@ -129,6 +133,14 @@ const std::vector<InvariantInfo> &invariantCatalog();
 
 /** Short name of invariant @p id. */
 const char *invariantName(InvariantId id);
+
+/**
+ * Whether invariant @p info is armed on a router built with @p params:
+ * atomicOnly and nonAtomicOnly follow the buffer kind, and needsVcs
+ * wants a VA stage (more than one VC).
+ */
+bool invariantApplies(const InvariantInfo &info,
+                      const noc::RouterParams &params);
 
 } // namespace nocalert::core
 

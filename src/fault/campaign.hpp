@@ -341,6 +341,8 @@ struct CampaignTelemetry
     std::uint64_t runsPlanned = 0;   ///< Shard's planned run count.
     std::uint64_t runsCompleted = 0; ///< Committed runs.
     std::array<std::uint64_t, kNumOutcomes> outcomes = {}; ///< By Outcome.
+
+    bool operator==(const CampaignTelemetry &) const = default;
 };
 
 /** Full campaign (or single-shard) output. */

@@ -1,114 +1,317 @@
 #include "fault/serialize.hpp"
 
 #include <algorithm>
+#include <concepts>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "fault/sampled.hpp"
-#include "util/log.hpp"
+#include "util/fsio.hpp"
 
 namespace nocalert::fault {
 
 namespace {
 
-// ------------------------------------------------------------- readers
+using nocalert::traffic::WorkloadKind;
+
+// ------------------------------------------------------ field visitors
 
 /**
- * First-error-wins extraction over one JSON object. Typed getters
- * record a message into the shared error slot and return a default on
- * any mismatch, so deserializers read every field linearly and check
- * ok() once at the end.
+ * One record type of the campaign document: the name that starts
+ * every reader error about it, and its field list. fields(v, record)
+ * makes one visitor call per key, in document order. Writer runs the
+ * list over a const record to build its JSON object; Reader runs the
+ * same list over a mutable record to read it back, so a key exists
+ * in both directions or in neither.
  */
-class ObjectReader
+template <typename Fields>
+struct Record
+{
+    const char *name;
+    Fields fields;
+};
+
+/** Builds a record's JSON object, one member per field call. */
+class Writer
 {
   public:
-    ObjectReader(const JsonValue &json, std::string what,
-                 std::string &error)
-        : json_(json), what_(std::move(what)), error_(error)
+    template <typename Fields, typename T>
+    static JsonValue write(const Record<Fields> &record, const T &value)
+    {
+        Writer writer;
+        record.fields(writer, value);
+        return std::move(writer.json_);
+    }
+
+    template <typename T>
+    void field(const char *key, const T &value) { json_.set(key, value); }
+
+    void latency(const char *key, noc::Cycle at, bool) { field(key, at); }
+
+    template <typename E>
+    void enumeration(const char *key, E value, const char *,
+                     const char *(*name)(E),
+                     std::optional<E> (*)(std::string_view))
+    {
+        json_.set(key, name(value));
+    }
+
+    template <typename Fields, typename T>
+    void object(const char *key, const T &value,
+                const Record<Fields> &record)
+    {
+        json_.set(key, write(record, value));
+    }
+
+    template <typename Fields, typename T>
+    bool optionalObject(const char *key, const T &value,
+                        const Record<Fields> &record, bool present)
+    {
+        if (present)
+            object(key, value, record);
+        return present;
+    }
+
+    template <typename Fields, typename T>
+    void objects(const char *key, const std::vector<T> &values,
+                 const Record<Fields> &record)
+    {
+        JsonValue array = JsonValue(JsonValue::Array{});
+        for (const T &value : values)
+            array.push(write(record, value));
+        json_.set(key, std::move(array));
+    }
+
+    template <typename Numbers>
+    void numbers(const char *key, const Numbers &values)
+    {
+        JsonValue array = JsonValue(JsonValue::Array{});
+        for (const auto &value : values) {
+            if constexpr (std::is_enum_v<typename Numbers::value_type>)
+                array.push(core::invariantIndex(value));
+            else
+                array.push(value);
+        }
+        json_.set(key, std::move(array));
+    }
+
+    template <typename Fields>
+    void when(bool present, const char *, Fields &&fields)
+    {
+        if (present)
+            fields();
+    }
+
+    template <typename T, typename Compute>
+    void derive(T &value, Compute &&compute) { value = compute(); }
+
+    template <typename Check>
+    void check(Check &&) {}
+
+  private:
+    JsonValue json_;
+};
+
+/**
+ * Reads a record back by running its field list over one JSON object.
+ * The first error wins: it lands in the shared error slot and turns
+ * every later call into a no-op, so a field list reads straight
+ * through. Once the list has run, a member it never asked for is an
+ * error too: the reader accepts exactly the keys the writer emits.
+ */
+class Reader
+{
+  public:
+    template <typename Fields, typename T>
+    static void read(const JsonValue &json, const Record<Fields> &record,
+                     T &value, std::string &error)
+    {
+        Reader reader(json, record.name, error);
+        record.fields(reader, value);
+        reader.rejectUnvisited();
+    }
+
+    template <typename T>
+    void field(const char *key, T &value)
+    {
+        const JsonValue *json = get(key);
+        if (const char *expected = json ? convert(*json, value) : nullptr)
+            fail(fieldError(key, expected));
+    }
+
+    /**
+     * A cycle field that holds kNoDetection unless its event @p fired
+     * (a detector's latency, the recovery's first action).
+     */
+    void latency(const char *key, noc::Cycle &value, bool fired)
+    {
+        field(key, value);
+        if (ok() && (fired ? value < 0 : value != kNoDetection))
+            fail(std::string(key) + " inconsistent with its detection flag");
+    }
+
+    template <typename E>
+    void enumeration(const char *key, E &value, const char *what,
+                     const char *(*)(E),
+                     std::optional<E> (*parse)(std::string_view))
+    {
+        std::string name;
+        field(key, name);
+        if (!ok() || absent_because_)
+            return;
+        if (const std::optional<E> parsed = parse(name))
+            value = *parsed;
+        else
+            fail("unknown " + std::string(what) + " '" + name + "'");
+    }
+
+    template <typename Fields, typename T>
+    void object(const char *key, T &value, const Record<Fields> &record)
+    {
+        if (const JsonValue *json = get(key))
+            read(*json, record, value, error_);
+    }
+
+    /** Read @p key when the document has it; returns whether it did. */
+    template <typename Fields, typename T>
+    bool optionalObject(const char *key, T &value,
+                        const Record<Fields> &record, bool)
+    {
+        if (!ok() || !json_.find(key))
+            return false;
+        object(key, value, record);
+        return true;
+    }
+
+    template <typename Fields, typename T>
+    void objects(const char *key, std::vector<T> &values,
+                 const Record<Fields> &record)
+    {
+        const JsonValue *json = array(key);
+        if (!json)
+            return;
+        values.clear();
+        values.reserve(json->array().size());
+        for (const JsonValue &entry : json->array()) {
+            if (!ok())
+                break;
+            read(entry, record, values.emplace_back(), error_);
+        }
+    }
+
+    /** A std::vector takes the array's length; a std::array must match. */
+    template <typename Numbers>
+    void numbers(const char *key, Numbers &values)
+    {
+        const JsonValue *json = array(key);
+        if (!json)
+            return;
+        const JsonValue::Array &items = json->array();
+        if constexpr (requires { values.resize(0); })
+            values.resize(items.size());
+        else if (items.size() != values.size())
+            return fail(std::string(what_) + " " + key + " must have " +
+                        std::to_string(values.size()) + " entries");
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            if (const char *expected = convert(items[i], values[i]))
+                return fail(std::string(what_) + " " + key +
+                            " entries must be " + expected);
+        }
+    }
+
+    /**
+     * Keys that exist only when @p present: required then, rejected
+     * otherwise with a message saying the key @p needs something.
+     */
+    template <typename Fields>
+    void when(bool present, const char *needs, Fields &&fields)
+    {
+        absent_because_ = present ? nullptr : needs;
+        fields();
+        absent_because_ = nullptr;
+    }
+
+    /** Derived blocks are read like any other, then checked. */
+    template <typename T, typename Compute>
+    void derive(T &, Compute &&) {}
+
+    /** @p error returns what is wrong with the record so far, or "". */
+    template <typename Check>
+    void check(Check &&error)
+    {
+        if (ok())
+            fail(error());
+    }
+
+  private:
+    Reader(const JsonValue &json, const char *what, std::string &error)
+        : json_(json), what_(what), error_(error)
     {
         if (!json_.isObject())
-            fail(what_ + " is not a JSON object");
+            fail(std::string(what_) + " is not a JSON object");
+    }
+
+    // Scalar conversions: nullptr, or what @p json should have been.
+
+    static const char *convert(const JsonValue &json, bool &value)
+    {
+        if (!json.isBool())
+            return "a boolean";
+        value = json.boolean();
+        return nullptr;
+    }
+
+    static const char *convert(const JsonValue &json, double &value)
+    {
+        if (!json.isNumber())
+            return "a number";
+        value = json.asDouble();
+        return nullptr;
+    }
+
+    static const char *convert(const JsonValue &json, std::string &value)
+    {
+        if (!json.isString())
+            return "a string";
+        value = json.string();
+        return nullptr;
+    }
+
+    /** Integers must fit their field: the narrow-integer range check. */
+    template <std::integral T>
+    static const char *convert(const JsonValue &json, T &value)
+    {
+        constexpr const char *kWidth = sizeof(T) == 1   ? "an 8-bit value"
+                                       : sizeof(T) == 2 ? "a 16-bit value"
+                                                        : "a 32-bit value";
+        if constexpr (std::is_signed_v<T>) {
+            if (json.type() != JsonValue::Type::Int)
+                return "an integer";
+            if (!std::in_range<T>(json.asInt()))
+                return kWidth;
+            value = static_cast<T>(json.asInt());
+        } else {
+            if (!(json.type() == JsonValue::Type::Uint ||
+                  (json.type() == JsonValue::Type::Int && json.asInt() >= 0)))
+                return "a non-negative integer";
+            if (!std::in_range<T>(json.asUint()))
+                return kWidth;
+            value = static_cast<T>(json.asUint());
+        }
+        return nullptr;
+    }
+
+    static const char *convert(const JsonValue &json, core::InvariantId &id)
+    {
+        unsigned index = 0;
+        if (convert(json, index) || index < 1 || index > core::kNumInvariants)
+            return "an invariant index 1..32";
+        id = static_cast<core::InvariantId>(index);
+        return nullptr;
     }
 
     bool ok() const { return error_.empty(); }
-
-    const JsonValue *get(const char *key)
-    {
-        if (!ok())
-            return nullptr;
-        const JsonValue *value = json_.find(key);
-        if (!value)
-            fail(what_ + " is missing field '" + key + "'");
-        return value;
-    }
-
-    std::int64_t i64(const char *key)
-    {
-        const JsonValue *value = get(key);
-        if (value && value->type() != JsonValue::Type::Int)
-            fail(fieldError(key, "an integer"));
-        return ok() ? value->asInt() : 0;
-    }
-
-    std::uint64_t u64(const char *key)
-    {
-        const JsonValue *value = get(key);
-        if (value &&
-            !(value->type() == JsonValue::Type::Uint ||
-              (value->type() == JsonValue::Type::Int && value->asInt() >= 0)))
-            fail(fieldError(key, "a non-negative integer"));
-        return ok() ? value->asUint() : 0;
-    }
-
-    unsigned u32(const char *key)
-    {
-        const std::uint64_t value = u64(key);
-        if (ok() && value > UINT32_MAX)
-            fail(fieldError(key, "a 32-bit value"));
-        return static_cast<unsigned>(value);
-    }
-
-    int i32(const char *key)
-    {
-        const std::int64_t value = i64(key);
-        if (ok() && (value < INT32_MIN || value > INT32_MAX))
-            fail(fieldError(key, "a 32-bit value"));
-        return static_cast<int>(value);
-    }
-
-    bool boolean(const char *key)
-    {
-        const JsonValue *value = get(key);
-        if (value && !value->isBool())
-            fail(fieldError(key, "a boolean"));
-        return ok() ? value->boolean() : false;
-    }
-
-    double number(const char *key)
-    {
-        const JsonValue *value = get(key);
-        if (value && !value->isNumber())
-            fail(fieldError(key, "a number"));
-        return ok() ? value->asDouble() : 0.0;
-    }
-
-    std::string str(const char *key)
-    {
-        const JsonValue *value = get(key);
-        if (value && !value->isString())
-            fail(fieldError(key, "a string"));
-        return ok() ? value->string() : std::string();
-    }
-
-    const JsonValue::Array &arr(const char *key)
-    {
-        static const JsonValue::Array empty;
-        const JsonValue *value = get(key);
-        if (value && !value->isArray())
-            fail(fieldError(key, "an array"));
-        return ok() ? value->array() : empty;
-    }
 
     void fail(const std::string &message)
     {
@@ -118,13 +321,68 @@ class ObjectReader
 
     std::string fieldError(const char *key, const char *expected) const
     {
-        return what_ + " field '" + key + "' must be " + expected;
+        return std::string(what_) + " field '" + key + "' must be " +
+               expected;
     }
 
-  private:
+    /** Marks @p key visited; nullptr (with the error set) if absent. */
+    const JsonValue *get(const char *key)
+    {
+        if (!ok())
+            return nullptr;
+        const JsonValue::Object &members = json_.object();
+        const JsonValue *json = nullptr;
+        // Keys arrive in the writer's order, so the search starts
+        // just past the previous hit.
+        for (std::size_t i = 0; i < members.size() && !json; ++i) {
+            const std::size_t at = (next_ + i) % members.size();
+            if (members[at].first == key) {
+                json = &members[at].second;
+                next_ = at + 1;
+                if (at < 64)
+                    visited_ |= std::uint64_t{1} << at;
+            }
+        }
+        if (absent_because_) {
+            if (json)
+                fail(std::string(what_) + " field '" + key +
+                     "' requires " + absent_because_);
+            return nullptr;
+        }
+        if (!json)
+            fail(std::string(what_) + " is missing field '" + key + "'");
+        return json;
+    }
+
+    const JsonValue *array(const char *key)
+    {
+        const JsonValue *json = get(key);
+        if (json && !json->isArray()) {
+            fail(fieldError(key, "an array"));
+            return nullptr;
+        }
+        return json;
+    }
+
+    /** No record has 64 keys, so a member past that is unexpected. */
+    void rejectUnvisited()
+    {
+        if (!ok())
+            return;
+        const JsonValue::Object &members = json_.object();
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            if (i >= 64 || !(visited_ >> i & 1))
+                return fail(std::string(what_) + " has unexpected field '" +
+                            members[i].first + "'");
+        }
+    }
+
     const JsonValue &json_;
-    std::string what_;
+    const char *what_;
     std::string &error_;
+    const char *absent_because_ = nullptr;
+    std::size_t next_ = 0;
+    std::uint64_t visited_ = 0;
 };
 
 template <typename T>
@@ -138,470 +396,391 @@ finish(T value, std::string &error, std::string *out_error)
     return std::nullopt;
 }
 
-// ---------------------------------------------------- nested sections
+// --------------------------------------------------------- field lists
 
-JsonValue
-routerParamsJson(const noc::RouterParams &router)
-{
-    JsonValue classes;
-    for (const noc::MessageClassSpec &cls : router.classes) {
-        JsonValue entry;
-        entry.set("name", cls.name);
-        entry.set("packetLength", cls.packetLength);
-        classes.push(std::move(entry));
-    }
-    if (classes.isNull())
-        classes = JsonValue(JsonValue::Array{});
+constexpr Record kMessageClass{"message class", [](auto &v, auto &cls) {
+    v.field("name", cls.name);
+    v.field("packetLength", cls.packetLength);
+}};
 
-    JsonValue json;
-    json.set("numVcs", router.numVcs);
-    json.set("bufferDepth", router.bufferDepth);
-    json.set("atomicBuffers", router.atomicBuffers);
-    json.set("speculative", router.speculative);
-    json.set("flitWidthBits", router.flitWidthBits);
-    json.set("extendedChecks", router.extendedChecks);
-    json.set("classes", std::move(classes));
-    return json;
-}
+constexpr Record kRouterParams{"router params", [](auto &v, auto &router) {
+    v.field("numVcs", router.numVcs);
+    v.field("bufferDepth", router.bufferDepth);
+    v.field("atomicBuffers", router.atomicBuffers);
+    v.field("speculative", router.speculative);
+    v.field("flitWidthBits", router.flitWidthBits);
+    v.field("extendedChecks", router.extendedChecks);
+    v.objects("classes", router.classes, kMessageClass);
+}};
 
-void
-routerParamsFromJson(const JsonValue &json, noc::RouterParams &router,
-                     std::string &error)
-{
-    ObjectReader reader(json, "router params", error);
-    router.numVcs = reader.u32("numVcs");
-    router.bufferDepth = reader.u32("bufferDepth");
-    router.atomicBuffers = reader.boolean("atomicBuffers");
-    router.speculative = reader.boolean("speculative");
-    router.flitWidthBits = reader.u32("flitWidthBits");
-    router.extendedChecks = reader.boolean("extendedChecks");
-    router.classes.clear();
-    for (const JsonValue &entry : reader.arr("classes")) {
-        ObjectReader cls(entry, "message class", error);
-        noc::MessageClassSpec spec;
-        spec.name = cls.str("name");
-        const unsigned length = cls.u32("packetLength");
-        if (error.empty() && length > UINT16_MAX)
-            cls.fail("message class packetLength out of range");
-        spec.packetLength = static_cast<std::uint16_t>(length);
-        router.classes.push_back(std::move(spec));
-    }
-}
+constexpr Record kRetransmit{"retransmit params", [](auto &v, auto &params) {
+    v.field("enabled", params.enabled);
+    v.field("ackTimeout", params.ackTimeout);
+    v.field("maxRetries", params.maxRetries);
+    v.field("backoffCap", params.backoffCap);
+}};
 
-JsonValue
-retransmitParamsJson(const noc::RetransmitParams &retransmit)
-{
-    JsonValue json;
-    json.set("enabled", retransmit.enabled);
-    json.set("ackTimeout", retransmit.ackTimeout);
-    json.set("maxRetries", retransmit.maxRetries);
-    json.set("backoffCap", retransmit.backoffCap);
-    return json;
-}
+constexpr Record kNetworkConfig{"network config", [](auto &v, auto &network) {
+    v.field("width", network.width);
+    v.field("height", network.height);
+    v.enumeration("routing", network.routing, "routing algorithm",
+                  noc::routingAlgoName, noc::routingAlgoFromName);
+    v.object("router", network.router, kRouterParams);
+    v.object("retransmit", network.retransmit, kRetransmit);
+}};
 
-void
-retransmitParamsFromJson(const JsonValue &json,
-                         noc::RetransmitParams &retransmit,
-                         std::string &error)
-{
-    ObjectReader reader(json, "retransmit params", error);
-    retransmit.enabled = reader.boolean("enabled");
-    retransmit.ackTimeout = reader.i64("ackTimeout");
-    retransmit.maxRetries = reader.u32("maxRetries");
-    retransmit.backoffCap = reader.u32("backoffCap");
-}
+/**
+ * The destination mix a synthetic spec and a phase segment share. The
+ * hotspot parameters live in their own sub-spec in memory
+ * (noc::HotspotSpec) but keep the legacy flat keys on disk, so every
+ * artifact ever written round-trips byte-identically.
+ */
+constexpr auto kMixFields = [](auto &v, auto &spec) {
+    v.numbers("classWeights", spec.classWeights);
+    v.field("hotspot", spec.hotspot.node);
+    v.field("hotspotFraction", spec.hotspot.fraction);
+};
 
-JsonValue
-networkConfigJson(const noc::NetworkConfig &network)
-{
-    JsonValue json;
-    json.set("width", network.width);
-    json.set("height", network.height);
-    json.set("routing", noc::routingAlgoName(network.routing));
-    json.set("router", routerParamsJson(network.router));
-    json.set("retransmit", retransmitParamsJson(network.retransmit));
-    return json;
-}
+constexpr Record kTrafficSpec{"traffic spec", [](auto &v, auto &traffic) {
+    v.enumeration("pattern", traffic.pattern, "traffic pattern",
+                  noc::trafficPatternName, noc::trafficPatternFromName);
+    v.field("injectionRate", traffic.injectionRate);
+    v.field("seed", traffic.seed);
+    v.field("stopCycle", traffic.stopCycle);
+    kMixFields(v, traffic);
+}};
 
-void
-networkConfigFromJson(const JsonValue &json, noc::NetworkConfig &network,
-                      std::string &error)
-{
-    ObjectReader reader(json, "network config", error);
-    network.width = reader.i32("width");
-    network.height = reader.i32("height");
-    const std::string routing = reader.str("routing");
-    if (error.empty()) {
-        if (auto algo = noc::routingAlgoFromName(routing))
-            network.routing = *algo;
-        else
-            reader.fail("unknown routing algorithm '" + routing + "'");
-    }
-    if (const JsonValue *router = reader.get("router"))
-        routerParamsFromJson(*router, network.router, error);
-    if (const JsonValue *retransmit = reader.get("retransmit"))
-        retransmitParamsFromJson(*retransmit, network.retransmit, error);
-}
+constexpr Record kPhaseSegment{"phase segment", [](auto &v, auto &segment) {
+    v.field("begin", segment.begin);
+    v.field("end", segment.end);
+    v.enumeration("pattern", segment.pattern, "traffic pattern",
+                  noc::trafficPatternName, noc::trafficPatternFromName);
+    v.field("rate", segment.rate);
+    kMixFields(v, segment);
+}};
 
-JsonValue
-trafficSpecJson(const noc::TrafficSpec &traffic)
-{
-    JsonValue weights = JsonValue(JsonValue::Array{});
-    for (double w : traffic.classWeights)
-        weights.push(w);
+constexpr Record kBurstSpec{"burst spec", [](auto &v, auto &burst) {
+    v.field("enabled", burst.enabled);
+    v.field("period", burst.period);
+    v.field("onProbability", burst.onProbability);
+    v.field("onMultiplier", burst.onMultiplier);
+    v.field("offMultiplier", burst.offMultiplier);
+    v.field("layers", burst.layers);
+}};
 
-    JsonValue json;
-    json.set("pattern", noc::trafficPatternName(traffic.pattern));
-    json.set("injectionRate", traffic.injectionRate);
-    json.set("seed", traffic.seed);
-    json.set("stopCycle", traffic.stopCycle);
-    json.set("classWeights", std::move(weights));
-    // The hotspot parameters live in their own sub-spec in memory
-    // (noc::HotspotSpec) but keep the legacy flat keys on disk, so
-    // every artifact ever written round-trips byte-identically.
-    json.set("hotspot", traffic.hotspot.node);
-    json.set("hotspotFraction", traffic.hotspot.fraction);
-    return json;
-}
+constexpr Record kPhasedSpec{"phased workload", [](auto &v, auto &phased) {
+    v.objects("segments", phased.segments, kPhaseSegment);
+    v.object("burst", phased.burst, kBurstSpec);
+    v.field("seed", phased.seed);
+    v.field("stopCycle", phased.stopCycle);
+    v.field("repeat", phased.repeat);
+}};
 
-void
-trafficSpecFromJson(const JsonValue &json, noc::TrafficSpec &traffic,
-                    std::string &error)
-{
-    ObjectReader reader(json, "traffic spec", error);
-    const std::string pattern = reader.str("pattern");
-    if (error.empty()) {
-        if (auto p = noc::trafficPatternFromName(pattern))
-            traffic.pattern = *p;
-        else
-            reader.fail("unknown traffic pattern '" + pattern + "'");
-    }
-    traffic.injectionRate = reader.number("injectionRate");
-    traffic.seed = reader.u64("seed");
-    traffic.stopCycle = reader.i64("stopCycle");
-    traffic.classWeights.clear();
-    for (const JsonValue &w : reader.arr("classWeights")) {
-        if (!w.isNumber()) {
-            reader.fail("traffic classWeights must be numbers");
-            break;
-        }
-        traffic.classWeights.push_back(w.asDouble());
-    }
-    traffic.hotspot.node = reader.i32("hotspot");
-    traffic.hotspot.fraction = reader.number("hotspotFraction");
-}
-
-JsonValue
-phaseSegmentJson(const nocalert::traffic::PhaseSegment &segment)
-{
-    JsonValue weights = JsonValue(JsonValue::Array{});
-    for (double w : segment.classWeights)
-        weights.push(w);
-
-    JsonValue json;
-    json.set("begin", segment.begin);
-    json.set("end", segment.end);
-    json.set("pattern", noc::trafficPatternName(segment.pattern));
-    json.set("rate", segment.rate);
-    json.set("classWeights", std::move(weights));
-    json.set("hotspot", segment.hotspot.node);
-    json.set("hotspotFraction", segment.hotspot.fraction);
-    return json;
-}
-
-void
-phaseSegmentFromJson(const JsonValue &json,
-                     nocalert::traffic::PhaseSegment &segment,
-                     std::string &error)
-{
-    ObjectReader reader(json, "phase segment", error);
-    segment.begin = reader.i64("begin");
-    segment.end = reader.i64("end");
-    const std::string pattern = reader.str("pattern");
-    if (error.empty()) {
-        if (auto p = noc::trafficPatternFromName(pattern))
-            segment.pattern = *p;
-        else
-            reader.fail("unknown traffic pattern '" + pattern + "'");
-    }
-    segment.rate = reader.number("rate");
-    segment.classWeights.clear();
-    for (const JsonValue &w : reader.arr("classWeights")) {
-        if (!w.isNumber()) {
-            reader.fail("segment classWeights must be numbers");
-            break;
-        }
-        segment.classWeights.push_back(w.asDouble());
-    }
-    segment.hotspot.node = reader.i32("hotspot");
-    segment.hotspot.fraction = reader.number("hotspotFraction");
-}
-
-JsonValue
-phasedSpecJson(const nocalert::traffic::PhasedSpec &phased)
-{
-    JsonValue segments = JsonValue(JsonValue::Array{});
-    for (const nocalert::traffic::PhaseSegment &segment : phased.segments)
-        segments.push(phaseSegmentJson(segment));
-
-    JsonValue burst;
-    burst.set("enabled", phased.burst.enabled);
-    burst.set("period", phased.burst.period);
-    burst.set("onProbability", phased.burst.onProbability);
-    burst.set("onMultiplier", phased.burst.onMultiplier);
-    burst.set("offMultiplier", phased.burst.offMultiplier);
-    burst.set("layers", phased.burst.layers);
-
-    JsonValue json;
-    json.set("segments", std::move(segments));
-    json.set("burst", std::move(burst));
-    json.set("seed", phased.seed);
-    json.set("stopCycle", phased.stopCycle);
-    json.set("repeat", phased.repeat);
-    return json;
-}
-
-void
-phasedSpecFromJson(const JsonValue &json,
-                   nocalert::traffic::PhasedSpec &phased,
-                   std::string &error)
-{
-    ObjectReader reader(json, "phased workload", error);
-    phased.segments.clear();
-    for (const JsonValue &segment : reader.arr("segments")) {
-        phased.segments.emplace_back();
-        phaseSegmentFromJson(segment, phased.segments.back(), error);
-        if (!error.empty())
-            break;
-    }
-    if (const JsonValue *burst = reader.get("burst")) {
-        ObjectReader burst_reader(*burst, "burst spec", error);
-        phased.burst.enabled = burst_reader.boolean("enabled");
-        phased.burst.period = burst_reader.i64("period");
-        phased.burst.onProbability = burst_reader.number("onProbability");
-        phased.burst.onMultiplier = burst_reader.number("onMultiplier");
-        phased.burst.offMultiplier = burst_reader.number("offMultiplier");
-        phased.burst.layers = burst_reader.u32("layers");
-    }
-    phased.seed = reader.u64("seed");
-    phased.stopCycle = reader.i64("stopCycle");
-    phased.repeat = reader.boolean("repeat");
-}
-
-JsonValue
-traceSpecJson(const nocalert::traffic::TraceSpec &trace)
-{
-    JsonValue json;
-    json.set("path", trace.path);
-    json.set("digest", trace.digest);
-    json.set("records", trace.records);
-    json.set("stopCycle", trace.stopCycle);
-    return json;
-}
-
-void
-traceSpecFromJson(const JsonValue &json,
-                  nocalert::traffic::TraceSpec &trace, std::string &error)
-{
-    ObjectReader reader(json, "trace workload", error);
-    trace.path = reader.str("path");
-    trace.digest = reader.u32("digest");
-    trace.records = reader.u64("records");
-    trace.stopCycle = reader.i64("stopCycle");
-}
+constexpr Record kTraceSpec{"trace workload", [](auto &v, auto &trace) {
+    v.field("path", trace.path);
+    v.field("digest", trace.digest);
+    v.field("records", trace.records);
+    v.field("stopCycle", trace.stopCycle);
+}};
 
 /**
  * The `workload` block of schema-v6 configs. Only the active backend
  * is emitted — the inactive specs are defaults by construction, so
  * identity hashing never keys on dead fields.
  */
-JsonValue
-workloadSpecJson(const nocalert::traffic::WorkloadSpec &workload)
-{
-    JsonValue json;
-    json.set("kind",
-             nocalert::traffic::workloadKindName(workload.kind));
+constexpr Record kWorkloadSpec{"workload spec", [](auto &v, auto &workload) {
+    v.enumeration("kind", workload.kind, "workload kind",
+                  nocalert::traffic::workloadKindName,
+                  nocalert::traffic::workloadKindFromName);
     switch (workload.kind) {
-      case nocalert::traffic::WorkloadKind::Synthetic:
-        json.set("synthetic", trafficSpecJson(workload.synthetic));
+      case WorkloadKind::Synthetic:
+        v.object("synthetic", workload.synthetic, kTrafficSpec);
         break;
-      case nocalert::traffic::WorkloadKind::Phased:
-        json.set("phased", phasedSpecJson(workload.phased));
+      case WorkloadKind::Phased:
+        v.object("phased", workload.phased, kPhasedSpec);
         break;
-      case nocalert::traffic::WorkloadKind::Trace:
-        json.set("trace", traceSpecJson(workload.trace));
+      case WorkloadKind::Trace:
+        v.object("trace", workload.trace, kTraceSpec);
         break;
     }
-    return json;
-}
+}};
 
-void
-workloadSpecFromJson(const JsonValue &json,
-                     nocalert::traffic::WorkloadSpec &workload,
-                     std::string &error)
+constexpr Record kForeverConfig{"forever config", [](auto &v, auto &config) {
+    v.field("epochLength", config.epochLength);
+    v.field("hopLatency", config.hopLatency);
+    v.field("useAllocationComparator", config.useAllocationComparator);
+    v.field("useEndToEnd", config.useEndToEnd);
+}};
+
+constexpr Record kFaultSite{"fault site", [](auto &v, auto &site) {
+    v.field("router", site.router);
+    v.enumeration("signal", site.signal, "signal class",
+                  signalClassName, signalClassFromName);
+    v.field("port", site.port);
+    v.field("vc", site.vc);
+    v.field("bit", site.bit);
+}};
+
+constexpr Record kSamplingSpec{"sampling spec", [](auto &v, auto &spec) {
+    v.field("enabled", spec.enabled);
+    v.enumeration("stratify", spec.stratify, "stratification",
+                  stratifyName, stratifyFromName);
+    v.enumeration("method", spec.method, "interval method",
+                  stats::intervalMethodName,
+                  stats::intervalMethodFromName);
+    v.field("confidence", spec.confidence);
+    v.field("ciHalfWidth", spec.ciHalfWidth);
+    v.field("maxRuns", spec.maxRuns);
+    v.field("batchSize", spec.batchSize);
+    v.field("minPerStratum", spec.minPerStratum);
+    v.field("cycleJitter", spec.cycleJitter);
+    v.field("seedCount", spec.seedCount);
+    v.field("reallocate", spec.reallocate);
+    v.field("samplerSeed", spec.samplerSeed);
+}};
+
+/**
+ * The campaign config. Synthetic workloads keep the legacy flat
+ * `traffic` block, so every schema-v4/v5 artifact serializes
+ * byte-identically to the day it was written; the phased and trace
+ * backends emit a `workload` block (schema v6) in the same key
+ * position. @p workload_block picks one: writers pass whether the
+ * workload is non-synthetic, readers what the document's version (or
+ * a bare config's own keys) says.
+ */
+auto
+campaignConfig(bool workload_block)
 {
-    ObjectReader reader(json, "workload spec", error);
-    const std::string kind = reader.str("kind");
-    if (error.empty()) {
-        if (auto k = nocalert::traffic::workloadKindFromName(kind))
-            workload.kind = *k;
+    return Record{"campaign config", [=](auto &v, auto &config) {
+        v.object("network", config.network, kNetworkConfig);
+        if (workload_block)
+            v.object("workload", config.workload, kWorkloadSpec);
         else
-            reader.fail("unknown workload kind '" + kind + "'");
+            v.object("traffic", config.workload.synthetic, kTrafficSpec);
+        v.field("warmup", config.warmup);
+        v.field("observeWindow", config.observeWindow);
+        v.field("drainLimit", config.drainLimit);
+        v.enumeration("kind", config.kind, "fault kind", faultKindName,
+                      faultKindFromName);
+        v.field("maxSites", config.maxSites);
+        v.field("wireSitesOnly", config.wireSitesOnly);
+        v.field("sampleSeed", config.sampleSeed);
+        v.field("runForever", config.runForever);
+        v.object("forever", config.forever, kForeverConfig);
+        v.field("recovery", config.recovery);
+        // Present iff enabled: exhaustive configs (schema v4) serialize
+        // as before sampling existed. Every sampling knob shapes the
+        // draw stream, so the block is campaign identity as well.
+        const bool sampling = v.optionalObject(
+            "sampling", config.sampling, kSamplingSpec,
+            config.sampling.enabled);
+        v.check([&] {
+            return sampling == config.sampling.enabled
+                       ? ""
+                       : "campaign config has a disabled 'sampling' block";
+        });
+        v.field("denseKernel", config.denseKernel);
+        // jobs / checkpointPath / checkpointEvery never reach JSON, so
+        // every --jobs value and checkpoint cadence writes the same
+        // bytes and a loaded config gets their defaults. The shard
+        // selector is structural: it says which runs this document holds.
+        v.field("shardIndex", config.shardIndex);
+        v.field("shardCount", config.shardCount);
+        // Reject a malformed workload here, before anything (the phase
+        // planner, a resume, a serve submission) consumes it. Synthetic
+        // specs keep the legacy lenient load path.
+        v.check([&] {
+            if (config.workload.kind == WorkloadKind::Synthetic)
+                return std::string();
+            const std::string error = nocalert::traffic::validateWorkloadSpec(
+                config.network, config.workload);
+            return error.empty() ? error : "invalid workload spec: " + error;
+        });
+    }};
+}
+
+/** What a key that only sampled documents carry requires. */
+constexpr const char *kSampledOnly = "a config 'sampling' block";
+
+/** @p sampled adds the schema-v5 draw tags. */
+auto
+faultRun(bool sampled)
+{
+    return Record{"fault run", [sampled](auto &v, auto &run) {
+        v.field("sampleIndex", run.sampleIndex);
+        v.when(sampled, kSampledOnly, [&] {
+            v.field("stratum", run.stratum);
+            v.field("seedIndex", run.seedIndex);
+        });
+        v.object("site", run.site, kFaultSite);
+        v.field("injectCycle", run.injectCycle);
+        v.field("violated", run.violated);
+        v.field("violatedConditions", run.violatedConditions);
+        v.field("drained", run.drained);
+        v.field("detected", run.detected);
+        v.latency("detectionLatency", run.detectionLatency, run.detected);
+        v.field("detectedCautious", run.detectedCautious);
+        v.latency("cautiousLatency", run.cautiousLatency,
+                  run.detectedCautious);
+        v.field("alertAtInjection", run.alertAtInjection);
+        v.field("simultaneousCheckers", run.simultaneousCheckers);
+        v.numbers("invariants", run.invariants);
+        v.field("foreverDetected", run.foreverDetected);
+        v.latency("foreverLatency", run.foreverLatency, run.foreverDetected);
+        v.field("recovered", run.recovered);
+        v.field("recoveryTriggered", run.recoveryTriggered);
+        v.latency("recoveryCycle", run.recoveryCycle, run.recoveryTriggered);
+        v.field("recoveryActions", run.recoveryActions);
+        v.field("quarantinedPorts", run.quarantinedPorts);
+        v.field("purgedFlits", run.purgedFlits);
+        v.field("retransmits", run.retransmits);
+        v.field("duplicatesSuppressed", run.duplicatesSuppressed);
+        v.field("packetsAbandoned", run.packetsAbandoned);
+        v.check([&] {
+            return run.recovered && !run.detected
+                       ? "recovered requires detected"
+                       : "";
+        });
+    }};
+}
+
+constexpr Record kTelemetry{"telemetry", [](auto &v, auto &telemetry) {
+    v.field("runsPlanned", telemetry.runsPlanned);
+    v.field("runsCompleted", telemetry.runsCompleted);
+    v.numbers("outcomes", telemetry.outcomes);
+}};
+
+constexpr Record kInterval{"interval", [](auto &v, auto &interval) {
+    v.field("lower", interval.lower);
+    v.field("upper", interval.upper);
+}};
+
+constexpr Record kEstimate{"stratum estimate", [](auto &v, auto &estimate) {
+    v.field("name", estimate.name);
+    v.field("population", estimate.population);
+    v.field("draws", estimate.draws);
+    v.field("detected", estimate.detected);
+    v.field("falsePositives", estimate.falsePositives);
+    v.field("falseNegatives", estimate.falseNegatives);
+    v.field("halted", estimate.halted);
+    v.object("detectedWilson", estimate.detectedWilson, kInterval);
+    v.object("detectedClopperPearson", estimate.detectedClopperPearson,
+             kInterval);
+    v.object("falsePositiveWilson", estimate.falsePositiveWilson,
+             kInterval);
+    v.object("falsePositiveClopperPearson",
+             estimate.falsePositiveClopperPearson, kInterval);
+    v.object("falseNegativeWilson", estimate.falseNegativeWilson,
+             kInterval);
+    v.object("falseNegativeClopperPearson",
+             estimate.falseNegativeClopperPearson, kInterval);
+}};
+
+constexpr Record kSamplingReport{"sampling report", [](auto &v, auto &report) {
+    v.objects("strata", report.strata, kEstimate);
+    v.object("pooled", report.pooled, kEstimate);
+}};
+
+/** Reader check of the runs against the header and telemetry. */
+std::string
+runsError(const CampaignResult &result, const CampaignTelemetry &stored)
+{
+    for (std::size_t i = 1; i < result.runs.size(); ++i) {
+        if (result.runs[i - 1].sampleIndex >= result.runs[i].sampleIndex)
+            return "runs are not in increasing sampleIndex order";
     }
-    if (!error.empty())
-        return;
-    switch (workload.kind) {
-      case nocalert::traffic::WorkloadKind::Synthetic:
-        if (const JsonValue *synthetic = reader.get("synthetic"))
-            trafficSpecFromJson(*synthetic, workload.synthetic, error);
-        break;
-      case nocalert::traffic::WorkloadKind::Phased:
-        if (const JsonValue *phased = reader.get("phased"))
-            phasedSpecFromJson(*phased, workload.phased, error);
-        break;
-      case nocalert::traffic::WorkloadKind::Trace:
-        if (const JsonValue *trace = reader.get("trace"))
-            traceSpecFromJson(*trace, workload.trace, error);
-        break;
+    if (result.runs.size() > result.shardRunsPlanned)
+        return "more runs than shardRunsPlanned";
+    if (stored != computeTelemetry(result))
+        return "telemetry block inconsistent with runs";
+    return {};
+}
+
+/** Reader check of a sampled document's spec, draw tags and report. */
+std::string
+samplingError(const CampaignResult &result, const SamplingReport &stored)
+{
+    const CampaignConfig &config = result.config;
+    // Guard the recomputation below (which enumerates the network and
+    // builds a planner) against aborting on nonsense input.
+    const std::string spec_error =
+        validateSamplingSpec(config.sampling, config.observeWindow);
+    if (!spec_error.empty())
+        return "invalid sampling spec: " + spec_error;
+    if (config.sampling.stratify == Stratify::Phase &&
+        config.workload.kind != WorkloadKind::Phased)
+        return "phase stratification needs a phased workload";
+    if (config.network.width <= 0 || config.network.height <= 0)
+        return "sampled campaign with an empty mesh";
+    std::vector<FaultSite> population = sampledPopulation(config);
+    if (population.empty())
+        return "sampled campaign with an empty site population";
+    const SampledPlanner planner(config, std::move(population));
+    for (const FaultRunResult &run : result.runs) {
+        if (run.stratum >= planner.strataCount() ||
+            run.seedIndex >= config.sampling.seedCount)
+            return "run draw tags out of range for the sampling spec";
     }
+    if (toJson(stored) != toJson(computeSamplingReport(result)))
+        return "sampling block inconsistent with runs";
+    return {};
 }
 
-JsonValue
-foreverConfigJson(const forever::ForeverConfig &config)
-{
-    JsonValue json;
-    json.set("epochLength", config.epochLength);
-    json.set("hopLatency", config.hopLatency);
-    json.set("useAllocationComparator", config.useAllocationComparator);
-    json.set("useEndToEnd", config.useEndToEnd);
-    return json;
-}
-
-void
-foreverConfigFromJson(const JsonValue &json,
-                      forever::ForeverConfig &config, std::string &error)
-{
-    ObjectReader reader(json, "forever config", error);
-    config.epochLength = reader.i64("epochLength");
-    config.hopLatency = reader.i64("hopLatency");
-    config.useAllocationComparator =
-        reader.boolean("useAllocationComparator");
-    config.useEndToEnd = reader.boolean("useEndToEnd");
-}
-
-JsonValue
-faultSiteJson(const FaultSite &site)
-{
-    JsonValue json;
-    json.set("router", site.router);
-    json.set("signal", signalClassName(site.signal));
-    json.set("port", site.port);
-    json.set("vc", site.vc);
-    json.set("bit", site.bit);
-    return json;
-}
-
-void
-faultSiteFromJson(const JsonValue &json, FaultSite &site,
-                  std::string &error)
-{
-    ObjectReader reader(json, "fault site", error);
-    site.router = reader.i32("router");
-    const std::string signal = reader.str("signal");
-    if (error.empty()) {
-        if (auto cls = signalClassFromName(signal))
-            site.signal = *cls;
-        else
-            reader.fail("unknown signal class '" + signal + "'");
-    }
-    site.port = reader.i32("port");
-    site.vc = reader.i32("vc");
-    site.bit = reader.u32("bit");
-}
-
-JsonValue
-samplingSpecJson(const SamplingSpec &spec)
-{
-    JsonValue json;
-    json.set("enabled", spec.enabled);
-    json.set("stratify", stratifyName(spec.stratify));
-    json.set("method", stats::intervalMethodName(spec.method));
-    json.set("confidence", spec.confidence);
-    json.set("ciHalfWidth", spec.ciHalfWidth);
-    json.set("maxRuns", spec.maxRuns);
-    json.set("batchSize", spec.batchSize);
-    json.set("minPerStratum", spec.minPerStratum);
-    json.set("cycleJitter", spec.cycleJitter);
-    json.set("seedCount", spec.seedCount);
-    json.set("reallocate", spec.reallocate);
-    json.set("samplerSeed", spec.samplerSeed);
-    return json;
-}
-
-void
-samplingSpecFromJson(const JsonValue &json, SamplingSpec &spec,
-                     std::string &error)
-{
-    ObjectReader reader(json, "sampling spec", error);
-    spec.enabled = reader.boolean("enabled");
-    const std::string stratify = reader.str("stratify");
-    if (error.empty()) {
-        if (auto mode = stratifyFromName(stratify))
-            spec.stratify = *mode;
-        else
-            reader.fail("unknown stratification '" + stratify + "'");
-    }
-    const std::string method = reader.str("method");
-    if (error.empty()) {
-        if (auto m = stats::intervalMethodFromName(method))
-            spec.method = *m;
-        else
-            reader.fail("unknown interval method '" + method + "'");
-    }
-    spec.confidence = reader.number("confidence");
-    spec.ciHalfWidth = reader.number("ciHalfWidth");
-    spec.maxRuns = reader.u64("maxRuns");
-    spec.batchSize = reader.u32("batchSize");
-    spec.minPerStratum = reader.u32("minPerStratum");
-    spec.cycleJitter = reader.i64("cycleJitter");
-    spec.seedCount = reader.u32("seedCount");
-    spec.reallocate = reader.boolean("reallocate");
-    spec.samplerSeed = reader.u64("samplerSeed");
-}
-
-JsonValue
-intervalJson(const stats::Interval &interval)
-{
-    JsonValue json;
-    json.set("lower", interval.lower);
-    json.set("upper", interval.upper);
-    return json;
-}
-
-JsonValue
-stratumEstimateJson(const StratumEstimate &estimate)
-{
-    JsonValue json;
-    json.set("name", estimate.name);
-    json.set("population", estimate.population);
-    json.set("draws", estimate.draws);
-    json.set("detected", estimate.detected);
-    json.set("falsePositives", estimate.falsePositives);
-    json.set("falseNegatives", estimate.falseNegatives);
-    json.set("halted", estimate.halted);
-    json.set("detectedWilson", intervalJson(estimate.detectedWilson));
-    json.set("detectedClopperPearson",
-             intervalJson(estimate.detectedClopperPearson));
-    json.set("falsePositiveWilson",
-             intervalJson(estimate.falsePositiveWilson));
-    json.set("falsePositiveClopperPearson",
-             intervalJson(estimate.falsePositiveClopperPearson));
-    json.set("falseNegativeWilson",
-             intervalJson(estimate.falseNegativeWilson));
-    json.set("falseNegativeClopperPearson",
-             intervalJson(estimate.falseNegativeClopperPearson));
-    return json;
-}
+constexpr Record kCampaignResult{"campaign result", [](auto &v, auto &result) {
+    std::string schema = kCampaignSchemaName;
+    v.field("schema", schema);
+    v.check([&] {
+        return schema == kCampaignSchemaName
+                   ? std::string()
+                   : "not a campaign document (schema '" + schema + "')";
+    });
+    std::int64_t version = campaignSchemaVersionFor(result.config);
+    v.field("version", version);
+    v.check([&] {
+        if (version >= kCampaignSchemaVersionMin &&
+            version <= kCampaignSchemaVersion)
+            return std::string();
+        return "unsupported campaign schema version " +
+               std::to_string(version) + " (expected " +
+               std::to_string(kCampaignSchemaVersionMin) + ".." +
+               std::to_string(kCampaignSchemaVersion) + ")";
+    });
+    v.object("config", result.config,
+             campaignConfig(version == kCampaignSchemaVersion));
+    // The version is determined by the config: 6 iff the workload
+    // is non-synthetic, else 5 iff sampled. A document claiming
+    // otherwise was hand-edited or corrupted.
+    v.check([&] {
+        if (version == campaignSchemaVersionFor(result.config))
+            return std::string();
+        return "schema version " + std::to_string(version) +
+               " inconsistent with the config's workload and "
+               "sampling state";
+    });
+    v.field("totalSitesEnumerated", result.totalSitesEnumerated);
+    v.field("goldenFlits", result.goldenFlits);
+    v.field("shardRunsPlanned", result.shardRunsPlanned);
+    const bool sampled = result.config.sampling.enabled;
+    v.when(sampled, kSampledOnly,
+           [&] { v.field("samplerDone", result.samplerDone); });
+    // Derived blocks: deterministic projections of the runs below
+    // (never wall-clock rates, which would break byte-identity
+    // across machines and --jobs). The reader recomputes both from
+    // the runs and rejects a document whose stored block disagrees
+    // — tampered or corrupted — rather than silently recompute.
+    CampaignTelemetry telemetry;
+    v.derive(telemetry, [&] { return computeTelemetry(result); });
+    v.object("telemetry", telemetry, kTelemetry);
+    SamplingReport report;
+    v.when(sampled, kSampledOnly, [&] {
+        v.derive(report, [&] { return computeSamplingReport(result); });
+        v.object("sampling", report, kSamplingReport);
+    });
+    v.objects("runs", result.runs, faultRun(sampled));
+    v.check([&] { return runsError(result, telemetry); });
+    if (sampled)
+        v.check([&] { return samplingError(result, report); });
+}};
 
 JsonValue
 histogramJson(const Histogram &histogram)
@@ -616,51 +795,87 @@ histogramJson(const Histogram &histogram)
     return points;
 }
 
+/** The summary verify compares: written only, so it has no reader. */
+constexpr Record kSummary{"campaign summary", [](auto &v, auto &summary) {
+    v.field("runs", summary.runs);
+    v.numbers("nocalert", summary.nocalert);
+    v.numbers("cautious", summary.cautious);
+    v.numbers("forever", summary.forever);
+    v.field("detectionLatency", histogramJson(summary.detectionLatency));
+    v.field("foreverLatency", histogramJson(summary.foreverLatency));
+    v.field("simultaneous", histogramJson(summary.simultaneous));
+    v.numbers("perInvariant", summary.perInvariant);
+    v.field("noInstantAlert", summary.noInstantAlert);
+    v.field("noInstantCaughtLater", summary.noInstantCaughtLater);
+    v.field("noInstantBenignUndetected", summary.noInstantBenignUndetected);
+    v.field("noInstantViolatedUndetected",
+            summary.noInstantViolatedUndetected);
+}};
+
 } // namespace
 
-// ------------------------------------------------------------- config
+// ---------------------------------------------------------- documents
+
+std::int64_t
+campaignSchemaVersionFor(const CampaignConfig &config)
+{
+    if (config.workload.kind != WorkloadKind::Synthetic)
+        return kCampaignSchemaVersion;
+    return config.sampling.enabled ? kCampaignSchemaVersionSampled
+                                   : kCampaignSchemaVersionMin;
+}
 
 JsonValue
 toJson(const CampaignConfig &config)
 {
-    JsonValue json;
-    json.set("network", networkConfigJson(config.network));
-    // Synthetic workloads keep the legacy flat `traffic` block, so
-    // every schema-v4/v5 artifact serializes byte-identically to the
-    // day it was written; the phased and trace backends emit a
-    // `workload` block (schema v6) in the same key position.
-    if (config.workload.kind ==
-        nocalert::traffic::WorkloadKind::Synthetic) {
-        json.set("traffic", trafficSpecJson(config.workload.synthetic));
-    } else {
-        json.set("workload", workloadSpecJson(config.workload));
-    }
-    json.set("warmup", config.warmup);
-    json.set("observeWindow", config.observeWindow);
-    json.set("drainLimit", config.drainLimit);
-    json.set("kind", faultKindName(config.kind));
-    json.set("maxSites", config.maxSites);
-    json.set("wireSitesOnly", config.wireSitesOnly);
-    json.set("sampleSeed", config.sampleSeed);
-    json.set("runForever", config.runForever);
-    json.set("forever", foreverConfigJson(config.forever));
-    json.set("recovery", config.recovery);
-    // The sampling spec appears only when enabled, so exhaustive
-    // configs — and the schema-v4 artifacts they produce — serialize
-    // exactly as they did before sampling existed. Every sampling
-    // knob is campaign identity (all of them shape the draw stream),
-    // so emitting the block here feeds campaignIdentityJson for free.
-    if (config.sampling.enabled)
-        json.set("sampling", samplingSpecJson(config.sampling));
-    json.set("denseKernel", config.denseKernel);
-    // jobs / checkpointPath / checkpointEvery are pure execution knobs
-    // with no influence on results; schema v4 keeps them out of the
-    // artifact entirely so runs at any --jobs value and checkpoint
-    // cadence serialize byte-identically. The shard selector stays:
-    // it is structural (it says which runs this document holds).
-    json.set("shardIndex", config.shardIndex);
-    json.set("shardCount", config.shardCount);
-    return json;
+    return Writer::write(
+        campaignConfig(config.workload.kind != WorkloadKind::Synthetic),
+        config);
+}
+
+JsonValue
+toJson(const FaultRunResult &run, bool sampled)
+{
+    return Writer::write(faultRun(sampled), run);
+}
+
+JsonValue
+toJson(const CampaignResult &result)
+{
+    return Writer::write(kCampaignResult, result);
+}
+
+JsonValue
+toJson(const CampaignTelemetry &telemetry)
+{
+    return Writer::write(kTelemetry, telemetry);
+}
+
+JsonValue
+toJson(const SamplingReport &report)
+{
+    return Writer::write(kSamplingReport, report);
+}
+
+std::optional<CampaignConfig>
+campaignConfigFromJson(const JsonValue &json, std::string *out_error)
+{
+    std::string error;
+    CampaignConfig config;
+    // A bare config has no version to say which workload block it
+    // holds, so its keys say it.
+    Reader::read(json, campaignConfig(json.find("workload") != nullptr),
+                 config, error);
+    return finish(std::move(config), error, out_error);
+}
+
+std::optional<CampaignResult>
+campaignResultFromJson(const JsonValue &json, std::string *out_error)
+{
+    std::string error;
+    CampaignResult result;
+    Reader::read(json, kCampaignResult, result, error);
+    return finish(std::move(result), error, out_error);
 }
 
 JsonValue
@@ -703,419 +918,10 @@ campaignArtifactHash(const CampaignConfig &config)
     return std::string(hex);
 }
 
-std::optional<CampaignConfig>
-campaignConfigFromJson(const JsonValue &json, std::string *out_error)
-{
-    std::string error;
-    CampaignConfig config;
-    ObjectReader reader(json, "campaign config", error);
-
-    if (const JsonValue *network = reader.get("network"))
-        networkConfigFromJson(*network, config.network, error);
-    // Either the legacy flat `traffic` block (synthetic workloads,
-    // schema v4/v5) or the `workload` block (schema v6) — exactly one.
-    if (error.empty() && json.isObject()) {
-        const JsonValue *traffic = json.find("traffic");
-        const JsonValue *workload = json.find("workload");
-        if (traffic && workload) {
-            reader.fail("campaign config has both a traffic and a "
-                        "workload block");
-        } else if (workload) {
-            workloadSpecFromJson(*workload, config.workload, error);
-        } else if (const JsonValue *block = reader.get("traffic")) {
-            config.workload.kind =
-                nocalert::traffic::WorkloadKind::Synthetic;
-            trafficSpecFromJson(*block, config.workload.synthetic,
-                                error);
-        }
-    }
-    config.warmup = reader.i64("warmup");
-    config.observeWindow = reader.i64("observeWindow");
-    config.drainLimit = reader.i64("drainLimit");
-    const std::string kind = reader.str("kind");
-    if (error.empty()) {
-        if (auto k = faultKindFromName(kind))
-            config.kind = *k;
-        else
-            reader.fail("unknown fault kind '" + kind + "'");
-    }
-    config.maxSites = reader.u32("maxSites");
-    config.wireSitesOnly = reader.boolean("wireSitesOnly");
-    config.sampleSeed = reader.u64("sampleSeed");
-    config.runForever = reader.boolean("runForever");
-    if (const JsonValue *forever = reader.get("forever"))
-        foreverConfigFromJson(*forever, config.forever, error);
-    config.recovery = reader.boolean("recovery");
-    // Optional: absent (every schema-v4 document) means disabled.
-    if (error.empty() && json.isObject()) {
-        if (const JsonValue *sampling = json.find("sampling"))
-            samplingSpecFromJson(*sampling, config.sampling, error);
-    }
-    config.denseKernel = reader.boolean("denseKernel");
-    config.shardIndex = reader.u32("shardIndex");
-    config.shardCount = reader.u32("shardCount");
-    // Execution knobs are not serialized; a loaded config gets their
-    // defaults and the caller (e.g. resume) supplies its own.
-
-    // Malformed workload blocks must be rejected here, before anything
-    // (the phase-stratified planner, a resume, a serve submission)
-    // consumes them. Synthetic specs keep the legacy lenient load path.
-    if (error.empty() &&
-        config.workload.kind !=
-            nocalert::traffic::WorkloadKind::Synthetic) {
-        const std::string workload_error =
-            nocalert::traffic::validateWorkloadSpec(config.network,
-                                                    config.workload);
-        if (!workload_error.empty())
-            reader.fail("invalid workload spec: " + workload_error);
-    }
-
-    return finish(std::move(config), error, out_error);
-}
-
-// ---------------------------------------------------------------- runs
-
-JsonValue
-toJson(const FaultRunResult &run, bool sampled)
-{
-    JsonValue invariants = JsonValue(JsonValue::Array{});
-    for (core::InvariantId id : run.invariants)
-        invariants.push(core::invariantIndex(id));
-
-    JsonValue json;
-    json.set("sampleIndex", run.sampleIndex);
-    // Draw tags exist only in sampled (schema v5) documents; omitting
-    // them keeps exhaustive v4 artifacts byte-identical.
-    if (sampled) {
-        json.set("stratum", run.stratum);
-        json.set("seedIndex", run.seedIndex);
-    }
-    json.set("site", faultSiteJson(run.site));
-    json.set("injectCycle", run.injectCycle);
-    json.set("violated", run.violated);
-    json.set("violatedConditions", run.violatedConditions);
-    json.set("drained", run.drained);
-    json.set("detected", run.detected);
-    json.set("detectionLatency", run.detectionLatency);
-    json.set("detectedCautious", run.detectedCautious);
-    json.set("cautiousLatency", run.cautiousLatency);
-    json.set("alertAtInjection", run.alertAtInjection);
-    json.set("simultaneousCheckers", run.simultaneousCheckers);
-    json.set("invariants", std::move(invariants));
-    json.set("foreverDetected", run.foreverDetected);
-    json.set("foreverLatency", run.foreverLatency);
-    json.set("recovered", run.recovered);
-    json.set("recoveryTriggered", run.recoveryTriggered);
-    json.set("recoveryCycle", run.recoveryCycle);
-    json.set("recoveryActions", run.recoveryActions);
-    json.set("quarantinedPorts", run.quarantinedPorts);
-    json.set("purgedFlits", run.purgedFlits);
-    json.set("retransmits", run.retransmits);
-    json.set("duplicatesSuppressed", run.duplicatesSuppressed);
-    json.set("packetsAbandoned", run.packetsAbandoned);
-    return json;
-}
-
-std::optional<FaultRunResult>
-faultRunFromJson(const JsonValue &json, std::string *out_error)
-{
-    std::string error;
-    FaultRunResult run;
-    ObjectReader reader(json, "fault run", error);
-
-    run.sampleIndex = reader.u64("sampleIndex");
-    // Draw tags are optional: present in sampled (v5) documents only.
-    if (error.empty() && json.isObject()) {
-        if (json.find("stratum"))
-            run.stratum = reader.u32("stratum");
-        if (json.find("seedIndex"))
-            run.seedIndex = reader.u32("seedIndex");
-    }
-    if (const JsonValue *site = reader.get("site"))
-        faultSiteFromJson(*site, run.site, error);
-    run.injectCycle = reader.i64("injectCycle");
-    run.violated = reader.boolean("violated");
-    const unsigned conditions = reader.u32("violatedConditions");
-    if (error.empty() && conditions > UINT8_MAX)
-        reader.fail("violatedConditions out of range");
-    run.violatedConditions = static_cast<std::uint8_t>(conditions);
-    run.drained = reader.boolean("drained");
-    run.detected = reader.boolean("detected");
-    run.detectionLatency = reader.i64("detectionLatency");
-    run.detectedCautious = reader.boolean("detectedCautious");
-    run.cautiousLatency = reader.i64("cautiousLatency");
-    run.alertAtInjection = reader.boolean("alertAtInjection");
-    run.simultaneousCheckers = reader.u32("simultaneousCheckers");
-    run.invariants.clear();
-    for (const JsonValue &id : reader.arr("invariants")) {
-        if (id.type() != JsonValue::Type::Int || id.asInt() < 1 ||
-            id.asInt() > static_cast<std::int64_t>(core::kNumInvariants)) {
-            reader.fail("invariant index out of range");
-            break;
-        }
-        run.invariants.push_back(
-            static_cast<core::InvariantId>(id.asInt()));
-    }
-    run.foreverDetected = reader.boolean("foreverDetected");
-    run.foreverLatency = reader.i64("foreverLatency");
-    run.recovered = reader.boolean("recovered");
-    run.recoveryTriggered = reader.boolean("recoveryTriggered");
-    run.recoveryCycle = reader.i64("recoveryCycle");
-    run.recoveryActions = reader.u32("recoveryActions");
-    run.quarantinedPorts = reader.u32("quarantinedPorts");
-    run.purgedFlits = reader.u64("purgedFlits");
-    run.retransmits = reader.u64("retransmits");
-    run.duplicatesSuppressed = reader.u64("duplicatesSuppressed");
-    run.packetsAbandoned = reader.u64("packetsAbandoned");
-
-    // Latency fields are either a non-negative cycle (only when the
-    // detector/recovery fired) or the kNoDetection sentinel.
-    if (error.empty()) {
-        auto check = [&](bool fired, noc::Cycle latency,
-                         const char *field) {
-            if (fired ? latency < 0 : latency != kNoDetection)
-                reader.fail(std::string(field) +
-                            " inconsistent with its detection flag");
-        };
-        check(run.detected, run.detectionLatency, "detectionLatency");
-        check(run.detectedCautious, run.cautiousLatency,
-              "cautiousLatency");
-        check(run.foreverDetected, run.foreverLatency, "foreverLatency");
-        check(run.recoveryTriggered, run.recoveryCycle, "recoveryCycle");
-        if (run.recovered && !run.detected)
-            reader.fail("recovered requires detected");
-    }
-
-    return finish(std::move(run), error, out_error);
-}
-
-// -------------------------------------------------------------- result
-
-JsonValue
-toJson(const CampaignTelemetry &telemetry)
-{
-    JsonValue outcomes = JsonValue(JsonValue::Array{});
-    for (std::uint64_t count : telemetry.outcomes)
-        outcomes.push(count);
-
-    JsonValue json;
-    json.set("runsPlanned", telemetry.runsPlanned);
-    json.set("runsCompleted", telemetry.runsCompleted);
-    json.set("outcomes", std::move(outcomes));
-    return json;
-}
-
-JsonValue
-toJson(const SamplingReport &report)
-{
-    JsonValue strata = JsonValue(JsonValue::Array{});
-    for (const StratumEstimate &estimate : report.strata)
-        strata.push(stratumEstimateJson(estimate));
-
-    JsonValue json;
-    json.set("strata", std::move(strata));
-    json.set("pooled", stratumEstimateJson(report.pooled));
-    return json;
-}
-
-std::int64_t
-campaignSchemaVersionFor(const CampaignConfig &config)
-{
-    if (config.workload.kind !=
-        nocalert::traffic::WorkloadKind::Synthetic)
-        return kCampaignSchemaVersion;
-    return config.sampling.enabled ? kCampaignSchemaVersionSampled
-                                   : kCampaignSchemaVersionMin;
-}
-
-JsonValue
-toJson(const CampaignResult &result)
-{
-    const bool sampled = result.config.sampling.enabled;
-
-    JsonValue runs = JsonValue(JsonValue::Array{});
-    for (const FaultRunResult &run : result.runs)
-        runs.push(toJson(run, sampled));
-
-    JsonValue json;
-    json.set("schema", kCampaignSchemaName);
-    json.set("version", campaignSchemaVersionFor(result.config));
-    json.set("config", toJson(result.config));
-    json.set("totalSitesEnumerated", result.totalSitesEnumerated);
-    json.set("goldenFlits", result.goldenFlits);
-    json.set("shardRunsPlanned", result.shardRunsPlanned);
-    if (sampled)
-        json.set("samplerDone", result.samplerDone);
-    // Deterministic projection of the runs below — never wall-clock
-    // rates, which would break byte-identity across machines/--jobs.
-    json.set("telemetry", toJson(computeTelemetry(result)));
-    if (sampled) {
-        // Like telemetry: derived from committed runs only, so the
-        // block is byte-identical for every --jobs value and the
-        // reader can recompute it for validation.
-        json.set("sampling", toJson(computeSamplingReport(result)));
-    }
-    json.set("runs", std::move(runs));
-    return json;
-}
-
-std::optional<CampaignResult>
-campaignResultFromJson(const JsonValue &json, std::string *out_error)
-{
-    std::string error;
-    CampaignResult result;
-    ObjectReader reader(json, "campaign result", error);
-
-    const std::string schema = reader.str("schema");
-    if (error.empty() && schema != kCampaignSchemaName)
-        reader.fail("not a campaign document (schema '" + schema + "')");
-    const std::int64_t version = reader.i64("version");
-    if (error.empty() && (version < kCampaignSchemaVersionMin ||
-                          version > kCampaignSchemaVersion))
-        reader.fail("unsupported campaign schema version " +
-                    std::to_string(version) + " (expected " +
-                    std::to_string(kCampaignSchemaVersionMin) + ".." +
-                    std::to_string(kCampaignSchemaVersion) + ")");
-
-    if (const JsonValue *config = reader.get("config")) {
-        if (auto parsed = campaignConfigFromJson(*config, &error))
-            result.config = std::move(*parsed);
-    }
-    // The version is determined by the config: 6 iff the workload is
-    // non-synthetic, else 5 iff sampled. A document claiming otherwise
-    // was hand-edited or corrupted.
-    if (error.empty() &&
-        version != campaignSchemaVersionFor(result.config))
-        reader.fail("schema version " + std::to_string(version) +
-                    " inconsistent with the config's workload and "
-                    "sampling state");
-    result.totalSitesEnumerated = reader.u64("totalSitesEnumerated");
-    result.goldenFlits = reader.u64("goldenFlits");
-    result.shardRunsPlanned = reader.u64("shardRunsPlanned");
-    if (result.config.sampling.enabled)
-        result.samplerDone = reader.boolean("samplerDone");
-    CampaignTelemetry stored;
-    if (const JsonValue *telemetry = reader.get("telemetry")) {
-        ObjectReader t(*telemetry, "telemetry", error);
-        stored.runsPlanned = t.u64("runsPlanned");
-        stored.runsCompleted = t.u64("runsCompleted");
-        const JsonValue::Array &outcomes = t.arr("outcomes");
-        if (error.empty() && outcomes.size() != kNumOutcomes)
-            t.fail("telemetry outcomes must have " +
-                   std::to_string(kNumOutcomes) + " entries");
-        for (std::size_t i = 0; error.empty() && i < outcomes.size();
-             ++i) {
-            if (outcomes[i].type() != JsonValue::Type::Uint &&
-                !(outcomes[i].type() == JsonValue::Type::Int &&
-                  outcomes[i].asInt() >= 0)) {
-                t.fail("telemetry outcomes must be non-negative "
-                       "integers");
-                break;
-            }
-            stored.outcomes[i] = outcomes[i].asUint();
-        }
-    }
-    for (const JsonValue &entry : reader.arr("runs")) {
-        if (auto run = faultRunFromJson(entry, &error))
-            result.runs.push_back(std::move(*run));
-        else
-            break;
-    }
-    if (error.empty()) {
-        for (std::size_t i = 1; i < result.runs.size(); ++i) {
-            if (result.runs[i - 1].sampleIndex >=
-                result.runs[i].sampleIndex) {
-                reader.fail("runs are not in increasing sampleIndex "
-                            "order");
-                break;
-            }
-        }
-        if (result.runs.size() > result.shardRunsPlanned)
-            reader.fail("more runs than shardRunsPlanned");
-        // The telemetry block is derived data; a document whose block
-        // disagrees with its own runs has been tampered with or
-        // corrupted, so reject it rather than silently recompute.
-        const CampaignTelemetry expected = computeTelemetry(result);
-        if (stored.runsPlanned != expected.runsPlanned ||
-            stored.runsCompleted != expected.runsCompleted ||
-            stored.outcomes != expected.outcomes)
-            reader.fail("telemetry block inconsistent with runs");
-    }
-    if (error.empty() && result.config.sampling.enabled) {
-        // Guard the recomputation below (which enumerates the network
-        // and builds a planner) against aborting on nonsense input.
-        const std::string spec_error = validateSamplingSpec(
-            result.config.sampling, result.config.observeWindow);
-        if (!spec_error.empty())
-            reader.fail("invalid sampling spec: " + spec_error);
-        if (error.empty() &&
-            result.config.sampling.stratify == Stratify::Phase &&
-            result.config.workload.kind !=
-                nocalert::traffic::WorkloadKind::Phased)
-            reader.fail("phase stratification needs a phased workload");
-        if (error.empty() && (result.config.network.width <= 0 ||
-                              result.config.network.height <= 0))
-            reader.fail("sampled campaign with an empty mesh");
-        if (error.empty() && sampledPopulation(result.config).empty())
-            reader.fail("sampled campaign with an empty site "
-                        "population");
-        if (error.empty()) {
-            const SampledPlanner planner(
-                result.config, sampledPopulation(result.config));
-            for (const FaultRunResult &run : result.runs) {
-                if (run.stratum >= planner.strataCount() ||
-                    run.seedIndex >= result.config.sampling.seedCount) {
-                    reader.fail("run draw tags out of range for the "
-                                "sampling spec");
-                    break;
-                }
-            }
-        }
-        // Like telemetry, the sampling report is derived data: reject
-        // a document whose stored block disagrees with what its own
-        // runs imply.
-        if (error.empty()) {
-            const JsonValue *stored_report = reader.get("sampling");
-            if (stored_report &&
-                *stored_report != toJson(computeSamplingReport(result)))
-                reader.fail("sampling block inconsistent with runs");
-        }
-    }
-
-    return finish(std::move(result), error, out_error);
-}
-
 JsonValue
 toJson(const CampaignSummary &summary)
 {
-    auto outcomes =
-        [](const std::array<std::uint64_t, kNumOutcomes> &counts) {
-        JsonValue json = JsonValue(JsonValue::Array{});
-        for (std::uint64_t c : counts)
-            json.push(c);
-        return json;
-    };
-
-    JsonValue per_invariant = JsonValue(JsonValue::Array{});
-    for (std::uint64_t c : summary.perInvariant)
-        per_invariant.push(c);
-
-    JsonValue json;
-    json.set("runs", summary.runs);
-    json.set("nocalert", outcomes(summary.nocalert));
-    json.set("cautious", outcomes(summary.cautious));
-    json.set("forever", outcomes(summary.forever));
-    json.set("detectionLatency", histogramJson(summary.detectionLatency));
-    json.set("foreverLatency", histogramJson(summary.foreverLatency));
-    json.set("simultaneous", histogramJson(summary.simultaneous));
-    json.set("perInvariant", std::move(per_invariant));
-    json.set("noInstantAlert", summary.noInstantAlert);
-    json.set("noInstantCaughtLater", summary.noInstantCaughtLater);
-    json.set("noInstantBenignUndetected",
-             summary.noInstantBenignUndetected);
-    json.set("noInstantViolatedUndetected",
-             summary.noInstantViolatedUndetected);
-    return json;
+    return Writer::write(kSummary, summary);
 }
 
 // ---------------------------------------------------- documents, files
@@ -1171,18 +977,11 @@ saveCampaignResult(const CampaignResult &result, const std::string &path,
 std::optional<CampaignResult>
 loadCampaignResult(const std::string &path, std::string *out_error)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-        if (out_error)
-            *out_error = "cannot open '" + path + "'";
-        return std::nullopt;
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    std::string error;
-    auto result = readCampaignJson(buffer.str(), &error);
+    const std::optional<std::string> text = readFileBytes(path);
+    std::string error = "cannot open '" + path + "'";
+    auto result = text ? readCampaignJson(*text, &error) : std::nullopt;
     if (!result && out_error)
-        *out_error = path + ": " + error;
+        *out_error = text ? path + ": " + error : error;
     return result;
 }
 

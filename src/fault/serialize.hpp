@@ -11,6 +11,14 @@
  * is what the CI campaign-smoke check and the merge acceptance test
  * compare.
  *
+ * Each record type (config, fault run, telemetry, sampling report and
+ * their nested blocks) is stated once, as a field list in
+ * serialize.cpp that a writer and a reader both run. That gives the
+ * key-parity rule: a document loads only if it holds exactly the keys
+ * the writer emits for it. A missing key, an unknown one, or a key
+ * only sampled documents carry (stratum, seedIndex, samplerDone,
+ * sampling) in an exhaustive document is an error that names the key.
+ *
  * The same format doubles as the shard checkpoint: a partial result
  * (shardRunsPlanned > runs.size()) written periodically by
  * FaultCampaign::run lets a killed shard resume from its last
@@ -103,8 +111,6 @@ std::string campaignArtifactHash(const CampaignConfig &config);
 // ---- JSON -> structure (nullopt + *error on malformed input) ----
 
 std::optional<CampaignConfig> campaignConfigFromJson(
-    const JsonValue &json, std::string *error = nullptr);
-std::optional<FaultRunResult> faultRunFromJson(
     const JsonValue &json, std::string *error = nullptr);
 
 /** Rejects documents whose schema tag or version does not match. */

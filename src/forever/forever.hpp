@@ -139,9 +139,6 @@ class ForeverModel
     /** Cycle of the first detection event at or after @p from, if any. */
     std::optional<noc::Cycle> firstDetection(noc::Cycle from = 0) const;
 
-    /** Drop accumulated alerts. */
-    void clearAlerts() { alerts_.clear(); }
-
     /** Detector state at the current cycle boundary. */
     ForeverState state() const
     {

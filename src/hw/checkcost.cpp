@@ -151,19 +151,9 @@ checkerGates(InvariantId id, const noc::NetworkConfig &config)
 GateCounts
 nocalertTotal(const noc::NetworkConfig &config)
 {
-    const noc::RouterParams &params = config.router;
-    const bool has_va = params.numVcs > 1;
-
     GateCounts total;
-    for (const core::InvariantInfo &info : core::invariantCatalog()) {
-        if (info.atomicOnly && !params.atomicBuffers)
-            continue;
-        if (info.nonAtomicOnly && params.atomicBuffers)
-            continue;
-        if (info.needsVcs && !has_va)
-            continue;
-        total += checkerGates(info.id, config);
-    }
+    for (const CheckerCostRow &row : checkerCostTable(config))
+        total += row.gates;
     // A final OR tree combining the individual checker flags.
     total += GateCounts{0, 0, core::kNumInvariants - 1, 0, 0, 0};
     return total;
@@ -185,18 +175,10 @@ dmrControlLogic(const noc::NetworkConfig &config)
 std::vector<CheckerCostRow>
 checkerCostTable(const noc::NetworkConfig &config)
 {
-    const noc::RouterParams &params = config.router;
-    const bool has_va = params.numVcs > 1;
-
     std::vector<CheckerCostRow> rows;
     for (const core::InvariantInfo &info : core::invariantCatalog()) {
-        if (info.atomicOnly && !params.atomicBuffers)
-            continue;
-        if (info.nonAtomicOnly && params.atomicBuffers)
-            continue;
-        if (info.needsVcs && !has_va)
-            continue;
-        rows.push_back({info.id, checkerGates(info.id, config)});
+        if (core::invariantApplies(info, config.router))
+            rows.push_back({info.id, checkerGates(info.id, config)});
     }
     return rows;
 }

@@ -31,9 +31,6 @@ class RoundRobinArbiter
     /** Construct for @p num_clients clients. */
     explicit RoundRobinArbiter(unsigned num_clients = 1);
 
-    /** Number of clients. */
-    unsigned numClients() const { return num_clients_; }
-
     /** Current priority pointer (client index searched first). */
     unsigned pointer() const { return pointer_; }
 
@@ -98,9 +95,6 @@ class MatrixArbiter
   public:
     /** Construct for @p num_clients clients (<= 16). */
     explicit MatrixArbiter(unsigned num_clients = 1);
-
-    /** Number of clients. */
-    unsigned numClients() const { return num_clients_; }
 
     /** Compute the grant for @p requests and update priorities. */
     std::uint64_t arbitrate(std::uint64_t requests);

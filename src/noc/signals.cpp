@@ -56,25 +56,4 @@ routerWiresQuiescent(const RouterWires &wires, unsigned num_vcs)
     return true;
 }
 
-const char *
-tapPointName(TapPoint tap)
-{
-    switch (tap) {
-      case TapPoint::CycleStart: return "CycleStart";
-      case TapPoint::AfterInputs: return "AfterInputs";
-      case TapPoint::AfterSt: return "AfterSt";
-      case TapPoint::AfterSa1Req: return "AfterSa1Req";
-      case TapPoint::AfterSa1: return "AfterSa1";
-      case TapPoint::AfterSa2Req: return "AfterSa2Req";
-      case TapPoint::AfterSa2: return "AfterSa2";
-      case TapPoint::AfterVa1: return "AfterVa1";
-      case TapPoint::AfterVa2Req: return "AfterVa2Req";
-      case TapPoint::AfterVa2: return "AfterVa2";
-      case TapPoint::AfterRcReq: return "AfterRcReq";
-      case TapPoint::AfterRc: return "AfterRc";
-      case TapPoint::CycleEnd: return "CycleEnd";
-    }
-    return "?";
-}
-
 } // namespace nocalert::noc

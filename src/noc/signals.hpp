@@ -194,9 +194,6 @@ enum class TapPoint : std::uint8_t {
 /** Number of tap points. */
 inline constexpr unsigned kNumTapPoints = 13;
 
-/** Name of a tap point. */
-const char *tapPointName(TapPoint tap);
-
 } // namespace nocalert::noc
 
 #endif // NOCALERT_NOC_SIGNALS_HPP

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "noc/config.hpp"
+
 namespace nocalert::core {
 namespace {
 
@@ -63,6 +65,26 @@ TEST(InvariantCatalog, ApplicabilityFlags)
     EXPECT_TRUE(invariantInfo(InvariantId::NonMinimalRoute).minimalOnly);
     EXPECT_TRUE(invariantInfo(InvariantId::VaAgreesWithRc).needsVcs);
     EXPECT_FALSE(invariantInfo(InvariantId::IllegalTurn).needsVcs);
+
+    // invariantApplies arms the flags against a router design.
+    const noc::RouterParams baseline; // atomic buffers, 4 VCs
+    noc::RouterParams non_atomic;
+    non_atomic.atomicBuffers = false;
+    noc::RouterParams wormhole;
+    wormhole.numVcs = 1;
+    const InvariantInfo &atomicity =
+        invariantInfo(InvariantId::BufferAtomicityViolation);
+    const InvariantInfo &mixing =
+        invariantInfo(InvariantId::NonAtomicPacketMixing);
+    const InvariantInfo &va = invariantInfo(InvariantId::VaAgreesWithRc);
+    EXPECT_TRUE(invariantApplies(atomicity, baseline));
+    EXPECT_FALSE(invariantApplies(atomicity, non_atomic));
+    EXPECT_FALSE(invariantApplies(mixing, baseline));
+    EXPECT_TRUE(invariantApplies(mixing, non_atomic));
+    EXPECT_TRUE(invariantApplies(va, baseline));
+    EXPECT_FALSE(invariantApplies(va, wormhole));
+    EXPECT_TRUE(invariantApplies(invariantInfo(InvariantId::IllegalTurn),
+                                 wormhole));
 }
 
 TEST(InvariantCatalog, EveryInvariantGuardsSomeCondition)

@@ -13,8 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
+
+#ifndef NOCALERT_RUNS
+#error "NOCALERT_RUNS must point at runs/"
+#endif
 
 namespace nocalert::fault {
 namespace {
@@ -177,6 +183,49 @@ TEST(SampledSerialize, OutOfRangeDrawTagsAreRejected)
     // seedCount is 2, so index 7 is impossible.
     EXPECT_NE(tamperRun("seedIndex", 7).find("draw tags out of range"),
               std::string::npos);
+}
+
+/** @p object without its member @p key. */
+JsonValue
+without(const JsonValue &object, std::string_view key)
+{
+    JsonValue::Object members;
+    for (const auto &[name, value] : object.object()) {
+        if (name != key)
+            members.emplace_back(name, value);
+    }
+    return JsonValue(std::move(members));
+}
+
+TEST(SampledSerialize, ConditionalKeysFollowTheSamplingSpec)
+{
+    // The draw tags, samplerDone and the sampling report exist only
+    // in sampled documents: required with a sampling spec, rejected
+    // without one. A sampled v6 document that loses its spec must not
+    // load as an exhaustive campaign (its version does not change).
+    std::ifstream file(NOCALERT_RUNS "/e16_phased.json");
+    std::ostringstream text;
+    text << file.rdbuf();
+    std::optional<JsonValue> doc = parseJson(text.str());
+    ASSERT_TRUE(doc.has_value());
+    std::string error;
+    ASSERT_TRUE(campaignResultFromJson(*doc, &error).has_value()) << error;
+    ASSERT_EQ(doc->find("version")->asInt(), 6);
+    doc->set("config", without(*doc->find("config"), "sampling"));
+    EXPECT_FALSE(campaignResultFromJson(*doc, &error).has_value());
+    EXPECT_NE(error.find("'sampling'"), std::string::npos) << error;
+
+    // A sampled run without a draw tag is rejected, not read as 0.
+    for (const char *key : {"stratum", "seedIndex"}) {
+        JsonValue sampled = toJson(sampledResult());
+        JsonValue::Array runs = sampled.find("runs")->array();
+        runs[0] = without(runs[0], key);
+        sampled.set("runs", JsonValue(std::move(runs)));
+        error.clear();
+        EXPECT_FALSE(campaignResultFromJson(sampled, &error).has_value())
+            << key;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
 }
 
 TEST(SampledSerialize, EverySamplingKnobIsCampaignIdentity)

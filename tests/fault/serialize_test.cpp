@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#ifndef NOCALERT_TEST_DATA
+#error "NOCALERT_TEST_DATA must point at tests/data"
+#endif
+#ifndef NOCALERT_RUNS
+#error "NOCALERT_RUNS must point at runs/"
+#endif
 
 namespace nocalert::fault {
 namespace {
@@ -420,6 +431,137 @@ TEST(Serialize, ArtifactHashOfSpecMatchesFinishedArtifact)
     const auto reread = readCampaignJson(writeCampaignJson(result));
     ASSERT_TRUE(reread.has_value());
     EXPECT_EQ(submitted, campaignArtifactHash(reread->config));
+}
+
+// ---- The committed artifacts against the codec ----
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream file(path, std::ios::binary);
+    std::ostringstream text;
+    text << file.rdbuf();
+    return text.str();
+}
+
+TEST(Serialize, CommittedArtifactsReserializeByteForByte)
+{
+    // Every artifact the repository ships (schema v4, v5 and v6,
+    // exhaustive and sampled) must load and write back unchanged.
+    std::vector<std::filesystem::path> paths;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(NOCALERT_RUNS)) {
+        if (entry.path().extension() == ".json")
+            paths.push_back(entry.path());
+    }
+    for (const auto &entry :
+         std::filesystem::directory_iterator(NOCALERT_TEST_DATA)) {
+        if (entry.path().filename().string().starts_with("campaign_4x4_"))
+            paths.push_back(entry.path());
+    }
+    std::sort(paths.begin(), paths.end());
+    EXPECT_GE(paths.size(), 9u);
+
+    for (const std::filesystem::path &path : paths) {
+        const std::string text = readFile(path);
+        std::string error;
+        const auto result = readCampaignJson(text, &error);
+        ASSERT_TRUE(result.has_value()) << path << ": " << error;
+        EXPECT_EQ(writeCampaignJson(*result), text) << path;
+    }
+}
+
+/** Keys leading to one member; "0" steps into an array's first element. */
+using MemberPath = std::vector<std::string>;
+
+/** Every object member of @p json, depth first, arrays via element 0. */
+void
+collectMembers(const JsonValue &json, MemberPath &path,
+               std::vector<MemberPath> &out)
+{
+    if (json.isArray() && !json.array().empty()) {
+        path.push_back("0");
+        collectMembers(json.array().front(), path, out);
+        path.pop_back();
+    }
+    if (!json.isObject())
+        return;
+    for (const auto &[key, value] : json.object()) {
+        path.push_back(key);
+        out.push_back(path);
+        collectMembers(value, path, out);
+        path.pop_back();
+    }
+}
+
+/** @p json without the member at @p path. */
+JsonValue
+withoutMember(const JsonValue &json, const MemberPath &path,
+              std::size_t depth = 0)
+{
+    if (json.isArray()) {
+        JsonValue::Array items = json.array();
+        items.front() = withoutMember(items.front(), path, depth + 1);
+        return JsonValue(std::move(items));
+    }
+    JsonValue::Object members;
+    for (const auto &[key, value] : json.object()) {
+        if (key != path[depth])
+            members.emplace_back(key, value);
+        else if (depth + 1 < path.size())
+            members.emplace_back(key, withoutMember(value, path, depth + 1));
+    }
+    return JsonValue(std::move(members));
+}
+
+TEST(Serialize, DeletingAnyEmittedKeyIsRejectedByName)
+{
+    // The reader runs the writer's field lists, so every key the
+    // writer emits is one it requires: deleting any single one must
+    // fail the load with a message that names it.
+    const std::string documents[] = {
+        NOCALERT_TEST_DATA "/campaign_4x4_exhaustive.json", // v4
+        NOCALERT_RUNS "/e16_stationary.json",               // v5
+        NOCALERT_TEST_DATA "/campaign_4x4_phased.json",     // v6
+        NOCALERT_TEST_DATA "/campaign_4x4_trace.json",      // v6
+        NOCALERT_RUNS "/e16_phased.json",                   // v6 sampled
+    };
+    for (const std::string &file : documents) {
+        const std::optional<JsonValue> doc = parseJson(readFile(file));
+        ASSERT_TRUE(doc.has_value()) << file;
+        std::string error;
+        ASSERT_TRUE(campaignResultFromJson(*doc, &error).has_value())
+            << file << ": " << error;
+
+        std::vector<MemberPath> paths;
+        MemberPath scratch;
+        collectMembers(*doc, scratch, paths);
+        EXPECT_GT(paths.size(), 60u) << file;
+        for (const MemberPath &path : paths) {
+            std::string where = file + ":";
+            for (const std::string &step : path)
+                where += " " + step;
+            error.clear();
+            EXPECT_FALSE(
+                campaignResultFromJson(withoutMember(*doc, path), &error)
+                    .has_value())
+                << where << " deleted, document accepted";
+            EXPECT_NE(error.find(path.back()), std::string::npos)
+                << where << " deleted: " << error;
+        }
+    }
+}
+
+TEST(Serialize, ReaderRejectsKeysTheWriterNeverEmits)
+{
+    JsonValue doc = toJson(syntheticResult());
+    JsonValue::Array runs = doc.find("runs")->array();
+    runs[0].set("comment", "hand edited");
+    doc.set("runs", JsonValue(std::move(runs)));
+    std::string error;
+    EXPECT_FALSE(campaignResultFromJson(doc, &error).has_value());
+    EXPECT_NE(error.find("unexpected field 'comment'"), std::string::npos)
+        << error;
 }
 
 // ---- End-to-end sharding, checkpointing, and merge ----
