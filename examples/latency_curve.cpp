@@ -6,14 +6,20 @@
  * demonstrating the zero-interference property (latencies are
  * identical with and without the checkers, and no alert ever fires).
  *
- *   ./latency_curve [--mesh N] [--pattern uniform|transpose|tornado]
+ *   ./latency_curve [--mesh N] [--cycles C] [--pattern NAME]
+ *
+ * NAME is one of uniform, transpose, bit-complement, hotspot, tornado,
+ * shuffle, bit-reverse and neighbor; any other name is fatal.
  */
 
 #include <cstdio>
+#include <optional>
+#include <string>
 
 #include "core/nocalert.hpp"
 #include "noc/network.hpp"
 #include "util/cli.hpp"
+#include "util/log.hpp"
 #include "util/table.hpp"
 
 using namespace nocalert;
@@ -27,23 +33,20 @@ main(int argc, char **argv)
     config.width = static_cast<int>(cli.getInt("mesh", 8));
     config.height = config.width;
 
-    noc::TrafficPattern pattern = noc::TrafficPattern::UniformRandom;
     const std::string name = cli.getString("pattern", "uniform");
-    if (name == "transpose")
-        pattern = noc::TrafficPattern::Transpose;
-    else if (name == "tornado")
-        pattern = noc::TrafficPattern::Tornado;
-    else if (name == "bit-complement")
-        pattern = noc::TrafficPattern::BitComplement;
-    else if (name == "hotspot")
-        pattern = noc::TrafficPattern::Hotspot;
+    const std::optional<noc::TrafficPattern> pattern =
+        noc::trafficPatternFromName(name);
+    if (!pattern)
+        NOCALERT_FATAL("unknown pattern '", name, "' (uniform, transpose, "
+                       "bit-complement, hotspot, tornado, shuffle, "
+                       "bit-reverse, neighbor)");
 
     const noc::Cycle cycles = cli.getInt("cycles", 3000);
 
     std::printf("latency vs offered load — %dx%d mesh, %s traffic, "
                 "%lld-cycle windows (NoCAlert attached throughout)\n\n",
                 config.width, config.height,
-                trafficPatternName(pattern),
+                trafficPatternName(*pattern),
                 static_cast<long long>(cycles));
 
     Table table({"inj rate (pkt/node/cy)", "offered (flits/node/cy)",
@@ -53,7 +56,7 @@ main(int argc, char **argv)
     for (double rate : {0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.10,
                         0.14, 0.18, 0.22}) {
         noc::TrafficSpec traffic;
-        traffic.pattern = pattern;
+        traffic.pattern = *pattern;
         traffic.injectionRate = rate;
         traffic.seed = 5;
 

@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "core/nocalert.hpp"
@@ -19,6 +20,7 @@
 #include "noc/network.hpp"
 #include "recovery/policy.hpp"
 #include "util/cli.hpp"
+#include "util/log.hpp"
 
 using namespace nocalert;
 
@@ -27,12 +29,11 @@ main(int argc, char **argv)
 {
     CommandLine cli(argc, argv, {"kind", "rate", "cycles"});
     const std::string kind_name = cli.getString("kind", "permanent");
-
-    fault::FaultKind kind = fault::FaultKind::Permanent;
-    if (kind_name == "transient")
-        kind = fault::FaultKind::Transient;
-    else if (kind_name == "intermittent")
-        kind = fault::FaultKind::Intermittent;
+    const std::optional<fault::FaultKind> kind =
+        fault::faultKindFromName(kind_name);
+    if (!kind)
+        NOCALERT_FATAL("unknown fault kind '", kind_name,
+                       "' (transient, intermittent, permanent)");
 
     noc::NetworkConfig config;
     noc::TrafficSpec traffic;
@@ -88,7 +89,7 @@ main(int argc, char **argv)
     std::printf("injecting %s fault: %s\n", kind_name.c_str(),
                 site.describe().c_str());
     fault::FaultInjector injector;
-    injector.arm({site, network.cycle(), kind, /*period=*/40,
+    injector.arm({site, network.cycle(), *kind, /*period=*/40,
                   /*duty=*/4});
     injector.attach(network);
 

@@ -51,7 +51,6 @@
 #include <fstream>
 #include <optional>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -60,6 +59,7 @@
 #include "fault/serialize.hpp"
 #include "serve/protocol.hpp"
 #include "util/cli.hpp"
+#include "util/fsio.hpp"
 #include "util/log.hpp"
 
 using namespace nocalert;
@@ -391,13 +391,11 @@ cmdSubmit(ServiceLink &link, const CommandLine &cli)
     fault::CampaignConfig config;
     const std::string spec_path = cli.getString("spec", "");
     if (!spec_path.empty()) {
-        std::ifstream file(spec_path, std::ios::binary);
-        if (!file)
+        const std::optional<std::string> text = readFileBytes(spec_path);
+        if (!text)
             NOCALERT_FATAL("cannot read spec file '", spec_path, "'");
-        std::ostringstream text;
-        text << file.rdbuf();
         std::string parse_error;
-        const auto json = parseJson(text.str(), &parse_error);
+        const auto json = parseJson(*text, &parse_error);
         if (!json)
             NOCALERT_FATAL("spec '", spec_path, "': ", parse_error);
         std::string config_error;

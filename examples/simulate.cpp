@@ -9,7 +9,7 @@
  *   ./simulate --mesh 8 --vcs 4 --routing xy --pattern uniform \
  *              --rate 0.05 --cycles 5000 \
  *              [--kernel dense|active|bitmask] \
- *              [--fault r36:Sa2Grant:E:2] [--trace]
+ *              [--fault r36:Sa2Grant:E:2 [--kind permanent]] [--trace]
  *
  * Workload backends beyond the stationary synthetic default:
  *
@@ -66,7 +66,18 @@ parsePattern(const std::string &name)
 {
     if (const auto pattern = noc::trafficPatternFromName(name))
         return *pattern;
-    NOCALERT_FATAL("unknown pattern '", name, "'");
+    NOCALERT_FATAL("unknown pattern '", name, "' (uniform, transpose, "
+                   "bit-complement, hotspot, tornado, shuffle, "
+                   "bit-reverse, neighbor)");
+}
+
+fault::FaultKind
+parseKind(const std::string &name)
+{
+    if (const auto kind = fault::faultKindFromName(name))
+        return *kind;
+    NOCALERT_FATAL("unknown fault kind '", name,
+                   "' (transient, intermittent, permanent)");
 }
 
 /**
@@ -158,6 +169,8 @@ main(int argc, char **argv)
     if (config.router.numVcs == 1)
         config.router.classes = {{"data", 5}};
     config.routing = parseRouting(cli.getString("routing", "xy"));
+    const fault::FaultKind kind =
+        parseKind(cli.getString("kind", "transient"));
 
     const noc::Cycle cycles = cli.getInt("cycles", 5000);
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 1));
@@ -219,15 +232,10 @@ main(int argc, char **argv)
     if (cli.has("fault")) {
         const fault::FaultSite site =
             parseFault(config, cli.getString("fault", ""));
-        fault::FaultKind kind = fault::FaultKind::Transient;
-        const std::string kind_name = cli.getString("kind", "transient");
-        if (kind_name == "permanent")
-            kind = fault::FaultKind::Permanent;
-        else if (kind_name == "intermittent")
-            kind = fault::FaultKind::Intermittent;
         injector.arm({site, inject_at, kind});
         injector.attach(network);
-        std::printf("armed %s fault at cycle %lld: %s\n", kind_name.c_str(),
+        std::printf("armed %s fault at cycle %lld: %s\n",
+                    fault::faultKindName(kind),
                     static_cast<long long>(inject_at),
                     site.describe().c_str());
 

@@ -122,7 +122,7 @@ TEST_F(RegistryTest, ServedArtifactIsByteIdenticalToBatchRun)
     EXPECT_FALSE(submitted.cached);
 
     // Not complete until the quanta have run.
-    EXPECT_EQ(registry.result(submitted.id).errorCode, kErrNotComplete);
+    EXPECT_STREQ(registry.result(submitted.id).errorCode, kErrNotComplete);
 
     drain(registry);
 
@@ -272,9 +272,9 @@ TEST_F(RegistryTest, CancelLeavesAResumableCheckpointAndConverges)
     // The contract: a valid checkpoint is on disk, no artifact yet.
     EXPECT_TRUE(fs::exists(cache.checkpointPath(submitted.id)));
     EXPECT_FALSE(fs::exists(cache.artifactPath(submitted.id)));
-    EXPECT_EQ(registry.result(submitted.id).errorCode, kErrNotComplete);
+    EXPECT_STREQ(registry.result(submitted.id).errorCode, kErrNotComplete);
     // Cancelling a settled campaign is a typed error.
-    EXPECT_EQ(registry.cancel(submitted.id), kErrNotActive);
+    EXPECT_STREQ(registry.cancel(submitted.id), kErrNotActive);
 
     const std::uint64_t executed_before = registry.stats().runsExecuted;
 
@@ -355,7 +355,7 @@ TEST_F(RegistryTest, ConstructorRejectionIsATypedBadSpec)
     CampaignRegistry registry(manual(1), cache);
 
     const SubmitOutcome outcome = registry.submit(bad, false, 1);
-    EXPECT_EQ(outcome.errorCode, kErrBadSpec);
+    EXPECT_STREQ(outcome.errorCode, kErrBadSpec);
     EXPECT_FALSE(outcome.error.empty());
     // Nothing was scheduled and the registry is still serviceable.
     EXPECT_FALSE(registry.stepOnce());
@@ -383,7 +383,7 @@ TEST_F(RegistryTest, RunTimeFatalRetiresTheCampaignAsFailed)
     EXPECT_EQ(registry.stats().campaignsFailed, 1u);
 
     const ResultOutcome result = registry.result(submitted.id);
-    EXPECT_EQ(result.errorCode, kErrCampaignFailed);
+    EXPECT_STREQ(result.errorCode, kErrCampaignFailed);
     EXPECT_FALSE(result.failure.empty());
 
     // One tenant's bad spec never takes the service down: a healthy
@@ -492,7 +492,7 @@ TEST_F(RegistryTest, ShutdownCancelsActiveWorkButKeepsCheckpoints)
     EXPECT_TRUE(fs::exists(cache.checkpointPath(submitted.id)));
     // Submissions after shutdown are refused, not crashed.
     const SubmitOutcome refused = registry.submit(spec, false, 2);
-    EXPECT_EQ(refused.errorCode, kErrNotActive);
+    EXPECT_STREQ(refused.errorCode, kErrNotActive);
 }
 
 } // namespace
