@@ -11,8 +11,9 @@
  *    intermittent and permanent faults. Its transient row is E10's
  *    baseline row, so E10 and E11 are the rows of one table;
  *  - E12, the paper's multi-fault future work: pairs of simultaneous
- *    transients at two sites, classified against the base's golden
- *    reference like single faults.
+ *    transients at two sites, each run and classified against the
+ *    base's golden reference by FaultCampaign::runSingle like a
+ *    single fault.
  *
  * Usage: ablations [--sites N] [--rate R] [--seed S] [--observe C]
  *                  [--drain C] [--wires] [--jobs J]
@@ -25,10 +26,11 @@
 
 #include <array>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/nocalert.hpp"
+#include "exec/executor.hpp"
 #include "fault/campaign.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -114,40 +116,6 @@ runE10E11(const CampaignConfig &base)
                 undetected.empty() ? "  none\n" : undetected.c_str());
 }
 
-/** Inject @p first and @p second in the same cycle and classify. */
-fault::FaultRunResult
-runPair(const CampaignConfig &config, const noc::Network &base,
-        const fault::GoldenReference &golden,
-        const fault::FaultSite &first, const fault::FaultSite &second)
-{
-    noc::Network net(base);
-    core::NoCAlertEngine engine(net, /*attach_now=*/true);
-
-    fault::FaultInjector injector;
-    injector.arm({first, net.cycle(), config.kind});
-    injector.arm({second, net.cycle(), config.kind});
-    injector.attach(net);
-
-    fault::FaultRunResult result;
-    result.site = first;
-    result.injectCycle = net.cycle();
-
-    net.run(config.observeWindow);
-    result.drained = net.drain(config.drainLimit);
-
-    const fault::GoldenComparison comparison =
-        golden.compare(net.collectEjections(), result.drained);
-    result.violated = comparison.violated();
-    result.violatedConditions = comparison.conditions();
-
-    if (auto firstCycle = engine.log().firstCycle()) {
-        result.detected = true;
-        result.detectionLatency = *firstCycle - result.injectCycle;
-        result.alertAtInjection = *firstCycle == result.injectCycle;
-    }
-    return result;
-}
-
 /** E12: consecutive draws of one site sample, taken as pairs. */
 void
 runE12(const CampaignConfig &base)
@@ -159,25 +127,33 @@ runE12(const CampaignConfig &base)
         fault::FaultSiteCatalog::sampleSites(
             fault::enumerateCampaignSites(config), 2 * config.maxSites,
             config.sampleSeed);
+    const std::size_t pairs = sites.size() / 2;
 
+    // Each pair is one runSingle run, cuts included; the executor
+    // hands results over in pair order, so stdout is the same at
+    // every --jobs.
     std::array<std::uint64_t, fault::kNumOutcomes> outcomes = {};
     Histogram latency;
     std::string undetected;
     std::size_t silent = 0;
-    for (std::size_t i = 0; i + 1 < sites.size(); i += 2) {
-        const fault::FaultRunResult result =
-            runPair(config, reference.base, reference.golden, sites[i],
-                    sites[i + 1]);
-        outcomes[static_cast<unsigned>(result.outcome())] += 1;
-        if (result.outcome() == fault::Outcome::TruePositive)
-            latency.add(result.detectionLatency);
-        if (result.violated && !result.detected) {
-            ++silent;
-            undetected += "  undetected pair: " + sites[i].describe() +
-                          " + " + sites[i + 1].describe() + "\n";
-        }
-    }
-    const std::size_t pairs = sites.size() / 2;
+    exec::CampaignExecutor(config.jobs).run<fault::FaultRunResult>(
+        pairs,
+        [&](std::size_t pair) {
+            return fault::FaultCampaign::runSingle(
+                config, reference.base, reference.golden,
+                std::span(sites).subspan(2 * pair, 2));
+        },
+        [&](std::size_t pair, fault::FaultRunResult &&result) {
+            outcomes[static_cast<unsigned>(result.outcome())] += 1;
+            if (result.outcome() == fault::Outcome::TruePositive)
+                latency.add(result.detectionLatency);
+            if (result.violated && !result.detected) {
+                ++silent;
+                undetected += "  undetected pair: " +
+                              sites[2 * pair].describe() + " + " +
+                              sites[2 * pair + 1].describe() + "\n";
+            }
+        });
     std::printf("\nE12: simultaneous fault pairs (%zu pairs, single-bit "
                 "transients)\n\n",
                 pairs);

@@ -17,7 +17,6 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -29,35 +28,8 @@
 #include "fault/serialize.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 
 using namespace nocalert;
-
-namespace {
-
-/** Parse "1,2,4": every token a whole count ("2x" and "-1" are
- *  fatal, not 2 and 4294967295). */
-std::vector<unsigned>
-parseJobsList(const std::string &list)
-{
-    std::vector<unsigned> jobs;
-    const char *pos = list.data();
-    const char *end = pos + list.size();
-    while (true) {
-        const char *comma = std::find(pos, end, ',');
-        unsigned value = 0;
-        const auto [stop, error] = std::from_chars(pos, comma, value);
-        if (error != std::errc() || stop != comma)
-            NOCALERT_FATAL("--jobs-list expects counts like 1,2,4, got '",
-                           list, "'");
-        jobs.push_back(value);
-        if (comma == end)
-            return jobs;
-        pos = comma + 1;
-    }
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -78,7 +50,7 @@ main(int argc, char **argv)
     config.maxSites = cli.getUnsigned("sites", 32);
 
     const std::vector<unsigned> jobs_sweep =
-        parseJobsList(cli.getString("jobs-list", "1,2,4,8"));
+        cli.getList<unsigned>("jobs-list", {1, 2, 4, 8});
     const std::string out_path = cli.getString("out", "BENCH_exec.json");
     const unsigned hw = exec::WorkerPool::hardwareConcurrency();
 

@@ -1,16 +1,17 @@
 /**
  * @file
- * Dense/active/bitmask kernel throughput on the campaign's cycle
- * shape: a warmed 8x8 network is copied per run, NoCAlert and ForEVeR
- * observe every cycle, traffic runs for the observation window, the
- * network drains, and a ForEVeR epoch tail completes the horizon —
- * exactly the per-site work FaultCampaign::runSingle performs. Each
- * kernel executes the same runs; the harness verifies their ejection
- * logs, statistics and NoCAlert and ForEVeR alert counts (plus
- * ForEVeR's first detection cycle) stay identical while it times
- * them, then writes BENCH_kernel.json with runs/sec for all three
- * kernels and two speedups, swept across injection rates (default
- * 0.01/0.02/0.05):
+ * Dense/active/bitmask kernel throughput on full-horizon, fault-free
+ * runs: a warmed 8x8 network is copied per run, NoCAlert and ForEVeR
+ * observe every cycle (wired by fault::observeRun, as in a campaign
+ * run), traffic runs for the observation window, the network drains,
+ * and a ForEVeR epoch tail completes the horizon. A campaign run that
+ * takes none of FaultCampaign::runSingle's early exits simulates the
+ * same cycles. Each kernel executes the same runs; the harness
+ * verifies their ejection logs, statistics and NoCAlert and ForEVeR
+ * alert counts (plus ForEVeR's first detection cycle) stay identical
+ * while it times them, then writes BENCH_kernel.json with runs/sec
+ * for all three kernels and two speedups, swept across injection
+ * rates (default 0.01/0.02/0.05):
  *
  * - `speedup` (dense vs active) isolates the active-set scheduler:
  *   both kernels evaluate on the branchy pipeline, and Active skips
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "core/nocalert.hpp"
+#include "fault/campaign.hpp"
 #include "forever/forever.hpp"
 #include "noc/network.hpp"
 #include "util/cli.hpp"
@@ -87,22 +89,7 @@ campaignRun(const noc::Network &base, noc::KernelMode mode,
 
     core::NoCAlertEngine engine(net, /*attach_now=*/false);
     forever::ForeverModel fever(net, fc, /*attach_now=*/false);
-    net.setRouterObserver([&](const noc::Router &router,
-                              const noc::RouterWires &wires) {
-        engine.observeRouter(router, wires);
-        fever.observeRouter(router, wires);
-    });
-    net.setPackedObserver([&](const noc::Router &router,
-                              const noc::PackedCycleEvents &ev) {
-        engine.observePacked(router, ev);
-    });
-    net.setNiObserver([&](const noc::NetworkInterface &ni,
-                          const noc::NiWires &wires) {
-        engine.observeNi(ni, wires);
-        fever.observeNi(ni, wires);
-    });
-    net.setCycleObserver(
-        [&](const noc::Network &n) { fever.onCycleEnd(n); });
+    fault::observeRun(net, engine, &fever, nullptr);
 
     net.run(observe);
     net.drain(drain_limit);
@@ -144,7 +131,7 @@ struct RateResult
 
 RateResult
 benchRate(int mesh, double rate, std::uint64_t seed, noc::Cycle warmup,
-          noc::Cycle observe, int runs)
+          noc::Cycle observe, unsigned runs)
 {
     noc::NetworkConfig config;
     config.width = mesh;
@@ -157,7 +144,7 @@ benchRate(int mesh, double rate, std::uint64_t seed, noc::Cycle warmup,
     const noc::Cycle drain_limit = 12000;
     const forever::ForeverConfig fc;
 
-    // Warm base snapshot, exactly as FaultCampaign::run() prepares it.
+    // Warm base snapshot, as FaultCampaign::prepareReference warms it.
     noc::Network base(config, traffic);
     base.run(warmup);
 
@@ -167,7 +154,7 @@ benchRate(int mesh, double rate, std::uint64_t seed, noc::Cycle warmup,
                                                 noc::KernelMode::Active,
                                                 noc::KernelMode::Bitmask};
 
-    for (int r = 0; r < runs; ++r) {
+    for (unsigned r = 0; r < runs; ++r) {
         RunOutcome outcomes[kNumKernels];
         for (int k = 0; k < kNumKernels; ++k) {
             const auto start = std::chrono::steady_clock::now();
@@ -188,7 +175,7 @@ benchRate(int mesh, double rate, std::uint64_t seed, noc::Cycle warmup,
                 continue;
             result.identical = false;
             std::fprintf(stderr,
-                         "rate %.3f run %d: kernel %d DISAGREES with "
+                         "rate %.3f run %u: kernel %d DISAGREES with "
                          "dense (ejections %zu/%zu, alerts %zu/%zu, "
                          "ForEVeR alerts %zu/%zu, end cycle "
                          "%lld/%lld)\n",
@@ -204,7 +191,7 @@ benchRate(int mesh, double rate, std::uint64_t seed, noc::Cycle warmup,
         if (outcomes[1].routerEvals != outcomes[2].routerEvals) {
             result.identical = false;
             std::fprintf(stderr,
-                         "rate %.3f run %d: active/bitmask router "
+                         "rate %.3f run %u: active/bitmask router "
                          "eval counts diverge (%llu vs %llu)\n",
                          rate, r,
                          static_cast<unsigned long long>(
@@ -220,28 +207,6 @@ benchRate(int mesh, double rate, std::uint64_t seed, noc::Cycle warmup,
     return result;
 }
 
-std::vector<double>
-parseRates(const std::string &list)
-{
-    std::vector<double> rates;
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string tok =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!tok.empty())
-            rates.push_back(std::stod(tok));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    if (rates.empty())
-        NOCALERT_FATAL("--rates parsed to an empty list: ", list);
-    return rates;
-}
-
 } // namespace
 
 int
@@ -251,23 +216,24 @@ main(int argc, char **argv)
                     {"mesh", "rate", "rates", "seed", "warmup",
                      "observe", "runs", "out", "notes"});
 
-    const int mesh = static_cast<int>(cli.getInt("mesh", 8));
-    const noc::Cycle warmup = cli.getInt("warmup", 500);
-    const noc::Cycle observe = cli.getInt("observe", 2000);
-    const int runs = static_cast<int>(cli.getInt("runs", 3));
+    const int mesh = static_cast<int>(cli.getUnsigned("mesh", 8));
+    const noc::Cycle warmup = cli.getUnsigned("warmup", 500);
+    const noc::Cycle observe = cli.getUnsigned("observe", 2000);
+    const unsigned runs = cli.getUnsigned("runs", 3);
+    if (runs == 0)
+        NOCALERT_FATAL("flag --runs must be at least 1");
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 5));
     const std::string out_path =
         cli.getString("out", "BENCH_kernel.json");
 
     // --rate X pins a single rate; --rates a,b,c sweeps.
-    std::vector<double> rates;
-    if (cli.getDouble("rate", 0.0) > 0.0)
-        rates.push_back(cli.getDouble("rate", 0.0));
-    else
-        rates = parseRates(cli.getString("rates", "0.01,0.02,0.05"));
+    const std::vector<double> rates =
+        cli.getDouble("rate", 0.0) > 0.0
+            ? std::vector<double>{cli.getDouble("rate", 0.0)}
+            : cli.getList<double>("rates", {0.01, 0.02, 0.05});
 
     const forever::ForeverConfig fc;
-    std::printf("micro_kernel: %dx%d mesh, %d runs of observe=%lld + "
+    std::printf("micro_kernel: %dx%d mesh, %u runs of observe=%lld + "
                 "drain + %lld-cycle tail per kernel per rate\n",
                 mesh, mesh, runs, static_cast<long long>(observe),
                 static_cast<long long>(fc.epochLength + 2));

@@ -81,10 +81,11 @@ main(int argc, char **argv)
     // requester (invariant 5 — a NOP when transient, a stuck arbiter
     // when permanent). Both symptoms localize to the same module.
     fault::FaultSite site;
-    site.router = config.nodeAt({4, 4});
-    site.signal = fault::SignalClass::Sa1Grant;
-    site.port = noc::portIndex(noc::Port::West);
-    site.bit = 0;
+    const std::string error = fault::parseFaultSite(
+        "r" + std::to_string(config.nodeAt({4, 4})) + ":Sa1Grant:W:0",
+        config, site);
+    if (!error.empty())
+        NOCALERT_FATAL("cannot inject: ", error);
 
     std::printf("injecting %s fault: %s\n", kind_name.c_str(),
                 site.describe().c_str());

@@ -8,11 +8,13 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "core/nocalert.hpp"
 #include "fault/injector.hpp"
 #include "noc/network.hpp"
 #include "util/cli.hpp"
+#include "util/log.hpp"
 
 using namespace nocalert;
 
@@ -43,13 +45,15 @@ main(int argc, char **argv)
                 nocalert.log().count());
 
     // ---- Phase 2: inject one transient fault ----
-    // Flip one bit of an SA2 grant vector at the mesh center: the
-    // switch forwards a flit nobody arbitrated for.
+    // Flip one bit of an SA2 grant vector at the mesh center (output
+    // East, bit 2 = input port South): the switch forwards a flit
+    // nobody arbitrated for.
+    const int center = config.nodeAt({config.width / 2, config.height / 2});
     fault::FaultSite site;
-    site.router = config.nodeAt({config.width / 2, config.height / 2});
-    site.signal = fault::SignalClass::Sa2Grant;
-    site.port = noc::portIndex(noc::Port::East);
-    site.bit = 2; // input port South
+    const std::string error = fault::parseFaultSite(
+        "r" + std::to_string(center) + ":Sa2Grant:E:2", config, site);
+    if (!error.empty())
+        NOCALERT_FATAL("cannot inject: ", error);
 
     fault::FaultInjector injector;
     injector.arm({site, network.cycle(), fault::FaultKind::Transient});

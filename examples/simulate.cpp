@@ -22,13 +22,8 @@
  *   --record-trace <file>           record this run's injections
  */
 
-#include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/nocalert.hpp"
 #include "fault/flags.hpp"
@@ -78,68 +73,6 @@ parseKind(const std::string &name)
         return *kind;
     NOCALERT_FATAL("unknown fault kind '", name,
                    "' (transient, intermittent, permanent)");
-}
-
-/**
- * Parse "r<router>:<SignalClass>:<port>:<bit>[:vc]". Every field must
- * parse whole, and the site must be one that
- * FaultSiteCatalog::enumerateRouter lists for that router (the
- * population campaigns draw from), so a fault that cannot be injected
- * is an error, not a benign-looking run.
- */
-fault::FaultSite
-parseFault(const noc::NetworkConfig &config, const std::string &spec)
-{
-    std::vector<std::string> parts(1);
-    for (char ch : spec) {
-        if (ch == ':')
-            parts.emplace_back();
-        else
-            parts.back() += ch;
-    }
-    if (parts.size() < 4 || parts.size() > 5 || parts[0].empty() ||
-        parts[0][0] != 'r')
-        NOCALERT_FATAL("--fault expects r<router>:<Signal>:<port>:<bit>"
-                       "[:vc], got '", spec, "'");
-    const auto number = [&spec](std::string_view text) {
-        int value = -1;
-        const auto [end, error] =
-            std::from_chars(text.data(), text.data() + text.size(), value);
-        if (error != std::errc() || end != text.data() + text.size() ||
-            value < 0)
-            NOCALERT_FATAL("--fault '", spec, "': '", text,
-                           "' is not a non-negative integer");
-        return value;
-    };
-
-    const int router = number(std::string_view(parts[0]).substr(1));
-    if (router >= config.numNodes())
-        NOCALERT_FATAL("--fault '", spec, "': router ", router,
-                       " is outside the ", config.width, "x",
-                       config.height, " mesh");
-    const std::optional<fault::SignalClass> signal =
-        fault::signalClassFromName(parts[1]);
-    if (!signal)
-        NOCALERT_FATAL("--fault '", spec, "': unknown signal class '",
-                       parts[1], "'");
-    int port = 0;
-    while (port < noc::kNumPorts && parts[2] != noc::portName(port))
-        ++port;
-    if (port == noc::kNumPorts)
-        NOCALERT_FATAL("--fault '", spec, "': unknown port '", parts[2],
-                       "' (N, E, S, W, L)");
-
-    const fault::FaultSite site{
-        router, *signal, port, parts.size() > 4 ? number(parts[4]) : -1,
-        static_cast<unsigned>(number(parts[3]))};
-    const std::vector<fault::FaultSite> sites =
-        fault::FaultSiteCatalog::enumerateRouter(config, site.router);
-    if (std::find(sites.begin(), sites.end(), site) == sites.end())
-        NOCALERT_FATAL("--fault '", spec, "' is not a fault site of "
-                       "router ", router, ": check the port, the bit "
-                       "range and the vc (given exactly for per-VC "
-                       "classes)");
-    return site;
 }
 
 } // namespace
@@ -230,8 +163,11 @@ main(int argc, char **argv)
     noc::TraceRecorder trace;
     const bool tracing = cli.getBool("trace", false);
     if (cli.has("fault")) {
-        const fault::FaultSite site =
-            parseFault(config, cli.getString("fault", ""));
+        fault::FaultSite site;
+        const std::string error = fault::parseFaultSite(
+            cli.getString("fault", ""), config, site);
+        if (!error.empty())
+            NOCALERT_FATAL("--fault ", error);
         injector.arm({site, inject_at, kind});
         injector.attach(network);
         std::printf("armed %s fault at cycle %lld: %s\n",

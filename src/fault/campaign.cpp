@@ -140,12 +140,8 @@ class PostWindow
     bool drained_ = false;
 };
 
-/**
- * Install a run's observers on @p net: the NoCAlert engine on every
- * router path and NI, ForEVeR beside it, and the recovery
- * orchestrator at cycle end. Golden preparation wires its guard the
- * same way, so its ForEVeR sees exactly what a fault run's does.
- */
+} // namespace
+
 void
 observeRun(noc::Network &net, core::NoCAlertEngine &engine,
            forever::ForeverModel *fever,
@@ -181,8 +177,6 @@ observeRun(noc::Network &net, core::NoCAlertEngine &engine,
         });
     }
 }
-
-} // namespace
 
 Outcome
 FaultRunResult::outcome() const
@@ -333,10 +327,11 @@ FaultRunResult
 FaultCampaign::runSingle(const CampaignConfig &config,
                          const noc::Network &base,
                          const GoldenReference &golden,
-                         const FaultSite &site,
+                         std::span<const FaultSite> sites,
                          noc::Cycle inject_offset,
                          EarlyExit *early)
 {
+    NOCALERT_ASSERT(!sites.empty(), "a fault run needs a fault site");
     noc::Network net(base);
 
     core::NoCAlertEngine engine(net, /*attach_now=*/false);
@@ -370,17 +365,18 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     const NiTotals warm = config.recovery ? niTotals(base) : NiTotals{};
 
     FaultRunResult result;
-    result.site = site;
-    // Sampled-mode cycle jitter: the fault arms for a cycle inside
+    result.site = sites.front();
+    // Sampled-mode cycle jitter: the faults arm for a cycle inside
     // the observation window; the network is fault-free until then.
     result.injectCycle = net.cycle() + inject_offset;
 
     FaultInjector injector;
-    injector.arm({site, result.injectCycle, config.kind});
+    for (const FaultSite &site : sites)
+        injector.arm({site, result.injectCycle, config.kind});
     injector.attach(net);
 
-    // A plain transient fault inside the window has fired once the
-    // injection cycle ran; without its tap hook the armed router is
+    // Plain transient faults inside the window have fired once the
+    // injection cycle ran; without the tap hook the armed routers are
     // scheduled and fast-pathed like any other (DESIGN.md §16).
     const noc::Cycle window_end = base.cycle() + config.observeWindow;
     const bool fired = stopsEarly(config) && result.injectCycle < window_end;

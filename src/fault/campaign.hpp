@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,14 @@
 #include "stats/binomial.hpp"
 #include "traffic/workload.hpp"
 #include "util/histogram.hpp"
+
+namespace nocalert::core {
+class NoCAlertEngine;
+} // namespace nocalert::core
+
+namespace nocalert::recovery {
+class RecoveryOrchestrator;
+} // namespace nocalert::recovery
 
 namespace nocalert::fault {
 
@@ -402,6 +411,16 @@ CampaignConfig normalizedCampaignConfig(CampaignConfig config);
 std::vector<FaultSite> enumerateCampaignSites(const CampaignConfig &config);
 
 /**
+ * Install a run's observers on @p net: the NoCAlert engine on every
+ * router path and NI, ForEVeR beside it, and the recovery
+ * orchestrator at cycle end (either may be null). Fault runs and
+ * golden's guard are all wired this way.
+ */
+void observeRun(noc::Network &net, core::NoCAlertEngine &engine,
+                forever::ForeverModel *fever,
+                recovery::RecoveryOrchestrator *orchestrator);
+
+/**
  * Offsets past the warm instant at which golden preparation
  * checkpoints the golden run for early exit (DESIGN.md §16).
  * Offsets beyond the observe window are not recorded.
@@ -498,7 +517,9 @@ class FaultCampaign
 
     /**
      * Execute a single fault-injected run against a prepared warm
-     * snapshot and golden reference (building block for tests).
+     * snapshot and golden reference. Every one of @p sites (at least
+     * one) is armed with the campaign's fault kind at the same
+     * injection cycle; the result's `site` is the first of them.
      * @p inject_offset delays the injection that many cycles past the
      * snapshot instant (sampled-mode cycle jitter; 0 = inject at the
      * snapshot cycle, the exhaustive behaviour).
@@ -508,8 +529,8 @@ class FaultCampaign
      * run without recovery or retransmission that injects inside the
      * window takes three exact shortcuts (DESIGN.md §16); the result
      * is the full run's, field for field:
-     *  - its injector is detached once the fault has fired (at the
-     *    injection cycle + 1), so the armed router is scheduled and
+     *  - its injector is detached once the faults have fired (at the
+     *    injection cycle + 1), so the armed routers are scheduled and
      *    fast-pathed like any other;
      *  - it stops at the first checkpoint of @p golden after its
      *    injection cycle whose network and ForEVeR state it equals
@@ -530,9 +551,21 @@ class FaultCampaign
     static FaultRunResult runSingle(const CampaignConfig &config,
                                     const noc::Network &base,
                                     const GoldenReference &golden,
-                                    const FaultSite &site,
+                                    std::span<const FaultSite> sites,
                                     noc::Cycle inject_offset = 0,
                                     EarlyExit *early = nullptr);
+
+    /** The run of one fault site. */
+    static FaultRunResult runSingle(const CampaignConfig &config,
+                                    const noc::Network &base,
+                                    const GoldenReference &golden,
+                                    const FaultSite &site,
+                                    noc::Cycle inject_offset = 0,
+                                    EarlyExit *early = nullptr)
+    {
+        return runSingle(config, base, golden, {&site, 1}, inject_offset,
+                         early);
+    }
 
   private:
     CampaignConfig config_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "fault/sampled.hpp"
@@ -949,29 +948,7 @@ bool
 saveCampaignResult(const CampaignResult &result, const std::string &path,
                    std::string *out_error)
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-        if (!file) {
-            if (out_error)
-                *out_error = "cannot open '" + tmp + "' for writing";
-            return false;
-        }
-        file << writeCampaignJson(result);
-        file.flush();
-        if (!file) {
-            if (out_error)
-                *out_error = "write to '" + tmp + "' failed";
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        if (out_error)
-            *out_error = "rename '" + tmp + "' -> '" + path + "' failed";
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return writeFileAtomic(path, writeCampaignJson(result), out_error);
 }
 
 std::optional<CampaignResult>

@@ -1,6 +1,7 @@
 #include "fault/site.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <sstream>
 
@@ -263,6 +264,70 @@ FaultSiteCatalog::sampleSites(std::vector<FaultSite> all,
         ++round;
     }
     return sample;
+}
+
+std::string
+parseFaultSite(std::string_view spec, const noc::NetworkConfig &config,
+               FaultSite &site)
+{
+    std::vector<std::string_view> parts;
+    for (std::size_t begin = 0;;) {
+        const std::size_t colon = spec.find(':', begin);
+        parts.push_back(spec.substr(begin, colon - begin));
+        if (colon == std::string_view::npos)
+            break;
+        begin = colon + 1;
+    }
+    const std::string quoted = "'" + std::string(spec) + "'";
+    if (parts.size() < 4 || parts.size() > 5 || parts[0].empty() ||
+        parts[0][0] != 'r')
+        return "expects r<router>:<Signal>:<port>:<bit>[:vc], got " + quoted;
+    const auto number = [](std::string_view text, int &value) {
+        const auto [end, error] =
+            std::from_chars(text.data(), text.data() + text.size(), value);
+        return error == std::errc() && end == text.data() + text.size() &&
+               value >= 0;
+    };
+    const auto notNumber = [&quoted](std::string_view text) {
+        return quoted + ": '" + std::string(text) +
+               "' is not a non-negative integer";
+    };
+
+    int router = 0;
+    if (!number(parts[0].substr(1), router))
+        return notNumber(parts[0].substr(1));
+    if (router >= config.numNodes())
+        return quoted + ": router " + std::to_string(router) +
+               " is outside the " + std::to_string(config.width) + "x" +
+               std::to_string(config.height) + " mesh";
+    const std::optional<SignalClass> signal = signalClassFromName(parts[1]);
+    if (!signal)
+        return quoted + ": unknown signal class '" + std::string(parts[1]) +
+               "'";
+    int port = 0;
+    while (port < kNumPorts && parts[2] != noc::portName(port))
+        ++port;
+    if (port == kNumPorts)
+        return quoted + ": unknown port '" + std::string(parts[2]) +
+               "' (N, E, S, W, L)";
+    int vc = -1;
+    if (parts.size() > 4 && !number(parts[4], vc))
+        return notNumber(parts[4]);
+    int bit = 0;
+    if (!number(parts[3], bit))
+        return notNumber(parts[3]);
+
+    const FaultSite parsed{router, *signal, port, vc,
+                           static_cast<unsigned>(bit)};
+    const std::vector<FaultSite> sites =
+        FaultSiteCatalog::enumerateRouter(config, router);
+    if (std::find(sites.begin(), sites.end(), parsed) == sites.end())
+        return quoted + " is not a fault site of router " +
+               std::to_string(router) +
+               ": check the port, the bit range and the vc (given "
+               "exactly for per-VC classes)";
+    site = parsed;
+    return "";
 }
 
 } // namespace nocalert::fault

@@ -121,6 +121,18 @@ class FaultSiteCatalog
         std::uint64_t seed);
 };
 
+/**
+ * Parse "r<router>:<SignalClass>:<port>:<bit>[:vc]" (port one of N, E,
+ * S, W, L) into @p site. Every field must parse whole, and the site
+ * must be one that FaultSiteCatalog::enumerateRouter lists for that
+ * router of @p config (wire classes take no vc, per-VC classes need
+ * one), so a fault that cannot be injected is an error, not a
+ * benign-looking run. Returns "" on success, else what is wrong with
+ * @p spec (and leaves @p site untouched).
+ */
+std::string parseFaultSite(std::string_view spec,
+                           const noc::NetworkConfig &config, FaultSite &site);
+
 } // namespace nocalert::fault
 
 #endif // NOCALERT_FAULT_SITE_HPP

@@ -1,6 +1,5 @@
 #include "noc/arbiter.hpp"
 
-#include "util/bits.hpp"
 #include "util/log.hpp"
 
 namespace nocalert::noc {
@@ -10,53 +9,6 @@ RoundRobinArbiter::RoundRobinArbiter(unsigned num_clients)
 {
     NOCALERT_ASSERT(num_clients >= 1 && num_clients <= 64,
                     "arbiter clients out of range: ", num_clients);
-}
-
-MatrixArbiter::MatrixArbiter(unsigned num_clients)
-    : num_clients_(num_clients)
-{
-    NOCALERT_ASSERT(num_clients >= 1 && num_clients <= 16,
-                    "matrix arbiter clients out of range: ", num_clients);
-    // Initial total order: lower index beats higher index.
-    for (unsigned i = 0; i < num_clients_; ++i)
-        for (unsigned j = i + 1; j < num_clients_; ++j)
-            matrix_[i] = setBit(matrix_[i], j);
-}
-
-std::uint64_t
-MatrixArbiter::arbitrate(std::uint64_t requests)
-{
-    requests &= lowMask(num_clients_);
-    if (requests == 0)
-        return 0;
-
-    for (unsigned i = 0; i < num_clients_; ++i) {
-        if (!getBit(requests, i))
-            continue;
-        // Client i wins iff no other requester has priority over it.
-        bool beaten = false;
-        for (unsigned j = 0; j < num_clients_ && !beaten; ++j) {
-            if (j != i && getBit(requests, j) && getBit(matrix_[j], i))
-                beaten = true;
-        }
-        if (!beaten) {
-            // Winner drops priority against everyone.
-            for (unsigned j = 0; j < num_clients_; ++j) {
-                if (j != i) {
-                    matrix_[i] = clearBit(matrix_[i], j);
-                    matrix_[j] = setBit(matrix_[j], i);
-                }
-            }
-            return 1ULL << i;
-        }
-    }
-    return 0; // unreachable for a consistent priority matrix
-}
-
-bool
-MatrixArbiter::hasPriority(unsigned row, unsigned col) const
-{
-    return getBit(matrix_[row], col);
 }
 
 } // namespace nocalert::noc

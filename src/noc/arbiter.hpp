@@ -1,6 +1,6 @@
 /**
  * @file
- * Round-robin and matrix arbiters.
+ * The round-robin arbiter.
  *
  * Arbiters are the workhorses of the VA and SA pipeline stages. The
  * grant computation is exposed as a pure function of (request vector,
@@ -82,30 +82,6 @@ class RoundRobinArbiter
   private:
     unsigned num_clients_;
     unsigned pointer_ = 0;
-};
-
-/**
- * Matrix arbiter over up to 16 clients: maintains a least-recently-
- * granted priority matrix. Functionally interchangeable with the
- * round-robin arbiter; provided as an alternative implementation for
- * the hardware model and for arbiter unit tests.
- */
-class MatrixArbiter
-{
-  public:
-    /** Construct for @p num_clients clients (<= 16). */
-    explicit MatrixArbiter(unsigned num_clients = 1);
-
-    /** Compute the grant for @p requests and update priorities. */
-    std::uint64_t arbitrate(std::uint64_t requests);
-
-    /** True iff client @p row currently has priority over @p col. */
-    bool hasPriority(unsigned row, unsigned col) const;
-
-  private:
-    unsigned num_clients_;
-    /** matrix_[i] bit j set => client i beats client j. */
-    std::uint64_t matrix_[16] = {};
 };
 
 } // namespace nocalert::noc

@@ -3,9 +3,28 @@
 #include <algorithm>
 #include <charconv>
 
-#include "util/log.hpp"
-
 namespace nocalert {
+
+bool
+CommandLine::parseWhole(const std::string &text, double &value)
+{
+    try {
+        std::size_t used = 0;
+        value = std::stod(text, &used);
+        return used == text.size();
+    } catch (...) {
+        return false;
+    }
+}
+
+bool
+CommandLine::parseWhole(const std::string &text, unsigned &value)
+{
+    // from_chars rejects a sign, where stoul would wrap "-1".
+    const auto [end, error] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    return error == std::errc() && end == text.data() + text.size();
+}
 
 CommandLine::CommandLine(int argc, const char *const *argv,
                          std::vector<std::string> known,
@@ -90,15 +109,11 @@ CommandLine::getUnsigned(const std::string &name, unsigned fallback) const
     auto it = values_.find(name);
     if (it == values_.end())
         return fallback;
-    // from_chars rejects a sign, where stoul would wrap "-1".
-    const std::string &text = it->second;
     unsigned value = 0;
-    const auto [end, error] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (error == std::errc() && end == text.data() + text.size())
+    if (parseWhole(it->second, value))
         return value;
     NOCALERT_FATAL("flag --", name, " expects a non-negative integer, got '",
-                   text, "'");
+                   it->second, "'");
 }
 
 double
@@ -107,13 +122,9 @@ CommandLine::getDouble(const std::string &name, double fallback) const
     auto it = values_.find(name);
     if (it == values_.end())
         return fallback;
-    try {
-        std::size_t used = 0;
-        const double value = std::stod(it->second, &used);
-        if (used == it->second.size())
-            return value;
-    } catch (...) {
-    }
+    double value = 0.0;
+    if (parseWhole(it->second, value))
+        return value;
     NOCALERT_FATAL("flag --", name, " expects a number, got '",
                    it->second, "'");
 }

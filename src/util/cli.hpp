@@ -13,7 +13,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/log.hpp"
 
 namespace nocalert {
 
@@ -60,6 +63,16 @@ class CommandLine
      */
     double getDouble(const std::string &name, double fallback) const;
 
+    /**
+     * Comma-separated list value of a flag ("0.01,0.02"), or
+     * @p fallback when absent. Every token must parse whole, as
+     * getDouble (T = double) or getUnsigned (T = unsigned) reads one
+     * value; an empty or malformed token is fatal and names the flag.
+     */
+    template <typename T>
+    std::vector<T> getList(const std::string &name,
+                           std::vector<T> fallback) const;
+
     /** Boolean switch: present without value, or =true/=false. */
     bool getBool(const std::string &name, bool fallback) const;
 
@@ -70,9 +83,36 @@ class CommandLine
     }
 
   private:
+    /** @p text read whole as one value; false on a leftover or a bad
+     *  number. */
+    static bool parseWhole(const std::string &text, double &value);
+    static bool parseWhole(const std::string &text, unsigned &value);
+
     std::map<std::string, std::string> values_;
     std::vector<std::string> positionals_;
 };
+
+template <typename T>
+std::vector<T>
+CommandLine::getList(const std::string &name, std::vector<T> fallback) const
+{
+    const auto it = values_.find(name);
+    if (it == values_.end())
+        return fallback;
+    std::vector<T> list;
+    for (std::size_t begin = 0;;) {
+        const std::size_t comma = it->second.find(',', begin);
+        T value{};
+        if (!parseWhole(it->second.substr(begin, comma - begin), value))
+            NOCALERT_FATAL("flag --", name, " expects comma-separated ",
+                           std::is_same_v<T, double> ? "numbers" : "counts",
+                           ", got '", it->second, "'");
+        list.push_back(value);
+        if (comma == std::string::npos)
+            return list;
+        begin = comma + 1;
+    }
+}
 
 } // namespace nocalert
 

@@ -17,7 +17,8 @@
  *    across the cases it covers runs that repeat during the drain and
  *    in the tail, ForEVeR detections from the bookkeeping after a cut,
  *    runs never stopped early, and permanent and recovery runs, which
- *    are never stopped early.
+ *    are never stopped early. E12's simultaneous transient pairs go
+ *    through the same battery, two sites armed at one cycle.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -494,14 +496,15 @@ bareReference(const CampaignConfig &config, const noc::Network &base)
 
 /**
  * The full-horizon oracle: FaultCampaign::runSingle's wiring with none
- * of its shortcuts. The injector stays attached (its router pinned)
- * for the whole run, and every cycle of the window, the drain and
- * ForEVeR's epochLength + 2 tail is simulated.
+ * of its shortcuts. Every site is armed at the same cycle, the
+ * injector stays attached (its routers pinned) for the whole run, and
+ * every cycle of the window, the drain and ForEVeR's epochLength + 2
+ * tail is simulated.
  */
 FaultRunResult
 fullHorizonRun(const CampaignConfig &config, const noc::Network &base,
-               const GoldenReference &golden, const FaultSite &site,
-               noc::Cycle inject_offset)
+               const GoldenReference &golden,
+               std::span<const FaultSite> sites, noc::Cycle inject_offset)
 {
     noc::Network net(base);
     core::NoCAlertEngine engine(net, /*attach_now=*/false);
@@ -545,10 +548,11 @@ fullHorizonRun(const CampaignConfig &config, const noc::Network &base,
     const auto warm = totals(base);
 
     FaultRunResult result;
-    result.site = site;
+    result.site = sites.front();
     result.injectCycle = net.cycle() + inject_offset;
     FaultInjector injector;
-    injector.arm({site, result.injectCycle, config.kind});
+    for (const FaultSite &site : sites)
+        injector.arm({site, result.injectCycle, config.kind});
     injector.attach(net);
 
     net.run(config.observeWindow);
@@ -605,9 +609,19 @@ fullHorizonRun(const CampaignConfig &config, const noc::Network &base,
 
 struct Draw
 {
-    FaultSite site;
+    std::vector<FaultSite> sites; ///< Armed together at one cycle.
     noc::Cycle offset = 0;
 };
+
+/** The sites of @p draw, for a trace message. */
+std::string
+described(const Draw &draw)
+{
+    std::string text;
+    for (const FaultSite &site : draw.sites)
+        text += (text.empty() ? "" : " + ") + site.describe();
+    return text;
+}
 
 /** What the runs against the checkpointed reference did. */
 struct Tally
@@ -642,18 +656,18 @@ runBattery(const CampaignConfig &config, const std::vector<Draw> &draws,
         noc::Network base(prepared.base);
         base.setKernelMode(mode);
         for (const Draw &draw : draws) {
-            SCOPED_TRACE(draw.site.describe() + " +" +
+            SCOPED_TRACE(described(draw) + " +" +
                          std::to_string(draw.offset) + " kernel " +
                          std::to_string(static_cast<int>(mode)));
             FaultCampaign::EarlyExit early;
             FaultCampaign::EarlyExit bare_early;
             const FaultRunResult run = FaultCampaign::runSingle(
-                config, base, prepared.golden, draw.site, draw.offset,
+                config, base, prepared.golden, draw.sites, draw.offset,
                 &early);
             const FaultRunResult bare_run = FaultCampaign::runSingle(
-                config, base, bare, draw.site, draw.offset, &bare_early);
+                config, base, bare, draw.sites, draw.offset, &bare_early);
             const FaultRunResult full =
-                fullHorizonRun(config, base, bare, draw.site, draw.offset);
+                fullHorizonRun(config, base, bare, draw.sites, draw.offset);
             const std::string want = toJson(full, sampled).dump();
             EXPECT_EQ(toJson(run, sampled).dump(), want);
             EXPECT_EQ(toJson(bare_run, sampled).dump(), want);
@@ -688,7 +702,7 @@ siteDraws(const CampaignConfig &config, unsigned count)
     for (const FaultSite &site : FaultSiteCatalog::sampleSites(
              FaultSiteCatalog::enumerateNetwork(config.network), count,
              config.sampleSeed))
-        draws.push_back({site, 0});
+        draws.push_back({{site}, 0});
     return draws;
 }
 
@@ -762,7 +776,7 @@ TEST(EarlyExitDifferential, SampledWithCycleJitter)
     SampledPlanner planner(config, sampledPopulation(config));
     std::vector<Draw> draws;
     for (const SampledDraw &draw : planner.planBatch())
-        draws.push_back({draw.site, draw.cycleOffset});
+        draws.push_back({{draw.site}, draw.cycleOffset});
     ASSERT_FALSE(draws.empty());
     EXPECT_TRUE(std::any_of(draws.begin(), draws.end(), [](const Draw &d) {
         return d.offset >= kCheckpointOffsets.back();
@@ -772,6 +786,25 @@ TEST(EarlyExitDifferential, SampledWithCycleJitter)
     // A jittered run's first ForEVeR alarm can fall past the cut: the
     // bookkeeping ForEVeR runs alone after it raises it.
     EXPECT_GT(tally.foreverAfterRepeat, 0u);
+}
+
+TEST(EarlyExitDifferential, SimultaneousTransientPairs)
+{
+    // E12's shape (bench/ablations): consecutive draws of one sample
+    // of the campaign's own surface, taken as pairs armed at the warm
+    // instant of a 6x6 mesh without ForEVeR. The cuts' argument holds
+    // for every transient fired by injection cycle + 1.
+    CampaignConfig config = battery(6, 600);
+    config.runForever = false;
+    const std::vector<FaultSite> sites = FaultSiteCatalog::sampleSites(
+        enumerateCampaignSites(config), 2 * 12, config.sampleSeed);
+    std::vector<Draw> pairs;
+    for (std::size_t i = 0; i + 1 < sites.size(); i += 2)
+        pairs.push_back({{sites[i], sites[i + 1]}, 0});
+    ASSERT_EQ(pairs.size(), 12u);
+    const Tally tally = runBattery(config, pairs, false);
+    EXPECT_GT(tally.converged, 0u);
+    EXPECT_GT(tally.repeatedDraining, 0u);
 }
 
 TEST(EarlyExitDifferential, PermanentAndRecoveryRunsAreNeverCut)
@@ -791,18 +824,18 @@ TEST(EarlyExitDifferential, PermanentAndRecoveryRunsAreNeverCut)
             noc::Network base(prepared.base);
             base.setKernelMode(mode);
             for (const Draw &draw : siteDraws(config, 6)) {
-                SCOPED_TRACE(draw.site.describe() + " kernel " +
+                SCOPED_TRACE(described(draw) + " kernel " +
                              std::to_string(static_cast<int>(mode)) +
                              (config.recovery ? " recovery" : ""));
                 FaultCampaign::EarlyExit early;
                 const FaultRunResult run = FaultCampaign::runSingle(
-                    config, base, prepared.golden, draw.site, 0, &early);
+                    config, base, prepared.golden, draw.sites, 0, &early);
                 EXPECT_FALSE(early.converged);
                 EXPECT_FALSE(early.repeated);
                 EXPECT_EQ(toJson(run).dump(),
                           toJson(fullHorizonRun(config, base,
                                                 prepared.golden,
-                                                draw.site, 0))
+                                                draw.sites, 0))
                               .dump());
             }
         }
@@ -834,15 +867,15 @@ TEST(EarlyExit, OnlyPlainTransientCampaignsStopEarly)
     for (const Draw &draw : siteDraws(transient, 8)) {
         FaultCampaign::EarlyExit early;
         FaultCampaign::runSingle(transient, prepared.base, prepared.golden,
-                                 draw.site, 0, &early);
+                                 draw.sites, 0, &early);
         if (!early.converged)
             continue;
         ++transient_stops;
         for (const CampaignConfig *config : {&permanent, &retransmit}) {
             FaultCampaign::runSingle(*config, prepared.base,
-                                     prepared.golden, draw.site, 0, &early);
-            EXPECT_FALSE(early.converged) << draw.site.describe();
-            EXPECT_FALSE(early.repeated) << draw.site.describe();
+                                     prepared.golden, draw.sites, 0, &early);
+            EXPECT_FALSE(early.converged) << described(draw);
+            EXPECT_FALSE(early.repeated) << described(draw);
         }
     }
     EXPECT_GT(transient_stops, 0u);
@@ -892,7 +925,7 @@ TEST(EarlyExit, NetworkMatchWithoutForeverMatchRunsOn)
     const CampaignConfig config = battery(4, 200);
     const FaultCampaign::PreparedReference prepared =
         FaultCampaign::prepareReference(config, config.workload.seed());
-    std::optional<FaultSite> found;
+    std::optional<Draw> found;
     noc::Cycle at = 0;
     for (const Draw &draw : siteDraws(config, 40)) {
         noc::Network net(prepared.base);
@@ -904,14 +937,14 @@ TEST(EarlyExit, NetworkMatchWithoutForeverMatchRunsOn)
         net.setCycleObserver(
             [&](const noc::Network &n) { fever.onCycleEnd(n); });
         FaultInjector injector;
-        injector.arm({draw.site, net.cycle(), config.kind});
+        injector.arm({draw.sites.front(), net.cycle(), config.kind});
         injector.attach(net);
         for (const GoldenReference::Checkpoint &cp :
              prepared.golden.checkpoints()) {
             net.run(cp.cycle() - net.cycle());
             if (net.sameState(cp.network)) {
                 if (!(fever.state() == *cp.forever)) {
-                    found = draw.site;
+                    found = draw;
                     at = cp.cycle();
                 }
                 break;
@@ -924,12 +957,12 @@ TEST(EarlyExit, NetworkMatchWithoutForeverMatchRunsOn)
 
     FaultCampaign::EarlyExit stop;
     const FaultRunResult early = FaultCampaign::runSingle(
-        config, prepared.base, prepared.golden, *found, 0, &stop);
+        config, prepared.base, prepared.golden, found->sites, 0, &stop);
     EXPECT_NE(stop.converged, std::optional<noc::Cycle>(at))
-        << found->describe();
+        << described(*found);
     const GoldenReference bare = bareReference(config, prepared.base);
     const FaultRunResult full =
-        fullHorizonRun(config, prepared.base, bare, *found, 0);
+        fullHorizonRun(config, prepared.base, bare, found->sites, 0);
     EXPECT_EQ(toJson(early).dump(), toJson(full).dump());
 }
 

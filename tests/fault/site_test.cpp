@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 namespace nocalert::fault {
 namespace {
@@ -124,6 +126,81 @@ TEST(FaultSites, NoVaSitesWithSingleVc)
         EXPECT_NE(site.signal, SignalClass::Va2Grant) << site.describe();
         EXPECT_NE(site.signal, SignalClass::Va1Candidate)
             << site.describe();
+    }
+}
+
+/** The spec parseFaultSite reads for @p site. */
+std::string
+specOf(const FaultSite &site)
+{
+    std::string spec = "r" + std::to_string(site.router) + ":" +
+                       signalClassName(site.signal) + ":" +
+                       noc::portName(site.port) + ":" +
+                       std::to_string(site.bit);
+    if (site.vc >= 0)
+        spec += ":" + std::to_string(site.vc);
+    return spec;
+}
+
+TEST(FaultSiteParser, EveryCatalogSiteRoundTrips)
+{
+    const auto cfg = mesh();
+    for (const noc::NodeId router : {0, cfg.nodeAt({4, 4})}) {
+        for (const FaultSite &want :
+             FaultSiteCatalog::enumerateRouter(cfg, router)) {
+            FaultSite got;
+            EXPECT_EQ(parseFaultSite(specOf(want), cfg, got), "")
+                << specOf(want);
+            EXPECT_EQ(got, want) << specOf(want);
+        }
+    }
+}
+
+TEST(FaultSiteParser, ReadsWireAndPerVcSites)
+{
+    const auto cfg = mesh();
+    FaultSite site;
+    ASSERT_EQ(parseFaultSite("r36:Sa1Grant:W:0", cfg, site), "");
+    EXPECT_EQ(site, (FaultSite{36, SignalClass::Sa1Grant,
+                               noc::portIndex(noc::Port::West), -1, 0}));
+    ASSERT_EQ(parseFaultSite("r5:StVcState:E:1:3", cfg, site), "");
+    EXPECT_EQ(site, (FaultSite{5, SignalClass::StVcState,
+                               noc::portIndex(noc::Port::East), 3, 1}));
+}
+
+TEST(FaultSiteParser, RejectsWhatTheCatalogDoesNotList)
+{
+    const auto cfg = mesh(4, 4);
+    const FaultSite untouched{7, SignalClass::RcDone, 2, -1, 1};
+    // Each spec with a fragment its error must quote.
+    const std::pair<const char *, const char *> cases[] = {
+        {"r5:Sa2Grant:E", "expects r<router>"},
+        {"r5:Sa2Grant:E:2:0:1", "expects r<router>"},
+        {"5:Sa2Grant:E:2", "expects r<router>"},
+        {"rabc:Sa2Grant:E:2", "'abc' is not a non-negative integer"},
+        {"r5x:Sa2Grant:E:2", "'5x' is not"},
+        {"r5:Sa2Grant:E:x", "'x' is not"},
+        {"r5:Sa2Grant:E:-1", "'-1' is not"},
+        {"r5:Sa2Grant:E:2:", "'' is not"},
+        {"r5:Sa2Grant:E:2:4294967295", "'4294967295' is not"},
+        {"r16:Sa2Grant:E:2", "router 16 is outside the 4x4 mesh"},
+        {"r5:Sa3Grant:E:2", "unknown signal class 'Sa3Grant'"},
+        {"r5:Sa2Grant:X:2", "unknown port 'X'"},
+        // Off the catalog: a wire given a vc (the vc-0 default of a
+        // hand-built site), a per-VC register without one, a VC past
+        // the count, a bit past its field, an unconnected port.
+        {"r5:Sa1Grant:W:0:0", "is not a fault site of router 5"},
+        {"r5:StVcState:E:0", "is not a fault site"},
+        {"r5:Va2Grant:E:0:9", "is not a fault site"},
+        {"r5:Sa2Grant:E:99", "is not a fault site"},
+        {"r0:Sa2Grant:W:2", "is not a fault site of router 0"},
+    };
+    for (const auto &[spec, fragment] : cases) {
+        FaultSite site = untouched;
+        const std::string error = parseFaultSite(spec, cfg, site);
+        EXPECT_NE(error.find(fragment), std::string::npos)
+            << spec << ": " << error;
+        EXPECT_EQ(site, untouched) << spec;
     }
 }
 

@@ -90,42 +90,5 @@ TEST(RoundRobin, SixtyFourClients)
     EXPECT_EQ(RoundRobinArbiter::compute(req, 0, 64), 1ULL);
 }
 
-TEST(Matrix, SingleRequestWins)
-{
-    MatrixArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate(0b0100), 0b0100u);
-    EXPECT_EQ(arb.arbitrate(0), 0u);
-}
-
-TEST(Matrix, LeastRecentlyGrantedWins)
-{
-    MatrixArbiter arb(3);
-    EXPECT_EQ(arb.arbitrate(0b111), 0b001u); // initial order: 0 first
-    EXPECT_EQ(arb.arbitrate(0b111), 0b010u); // 0 dropped priority
-    EXPECT_EQ(arb.arbitrate(0b111), 0b100u);
-    EXPECT_EQ(arb.arbitrate(0b111), 0b001u); // full rotation
-}
-
-TEST(Matrix, FairnessOverWindow)
-{
-    MatrixArbiter arb(5);
-    int wins[5] = {};
-    for (int i = 0; i < 500; ++i)
-        ++wins[lowestSetBit(arb.arbitrate(0b11111))];
-    for (int w : wins)
-        EXPECT_EQ(w, 100);
-}
-
-TEST(Matrix, PriorityQueryConsistent)
-{
-    MatrixArbiter arb(3);
-    // Initially 0 beats 1 and 2.
-    EXPECT_TRUE(arb.hasPriority(0, 1));
-    EXPECT_TRUE(arb.hasPriority(0, 2));
-    arb.arbitrate(0b001);
-    EXPECT_FALSE(arb.hasPriority(0, 1));
-    EXPECT_TRUE(arb.hasPriority(1, 0));
-}
-
 } // namespace
 } // namespace nocalert::noc

@@ -97,6 +97,37 @@ TEST(CommandLine, UnsignedRejectsNegativeMalformedAndOversized)
                 testing::ExitedWithCode(1), "--n expects");
 }
 
+TEST(CommandLine, ListsReadEveryToken)
+{
+    const auto cli = parse({"--rates", "0.01,0.5,1e-3", "--jobs=1,2,4"},
+                           {"rates", "jobs", "absent"});
+    EXPECT_EQ(cli.getList<double>("rates", {}),
+              (std::vector<double>{0.01, 0.5, 1e-3}));
+    EXPECT_EQ(cli.getList<unsigned>("jobs", {8}),
+              (std::vector<unsigned>{1, 2, 4}));
+    EXPECT_EQ(cli.getList<unsigned>("absent", {1, 8}),
+              (std::vector<unsigned>{1, 8}));
+}
+
+TEST(CommandLine, ListsRejectAnyMalformedToken)
+{
+    // A typo must not run as its numeric prefix or abort uncaught.
+    for (const char *value : {"0.01x", "abc", "0.01,,0.02", "0.01,", ""}) {
+        EXPECT_EXIT(parse({"--rates", value}, {"rates"})
+                        .getList<double>("rates", {}),
+                    testing::ExitedWithCode(1),
+                    "--rates expects comma-separated numbers")
+            << value;
+    }
+    for (const char *value : {"1,-1", "2x", "1.5", "4294967296"}) {
+        EXPECT_EXIT(parse({"--jobs", value}, {"jobs"})
+                        .getList<unsigned>("jobs", {}),
+                    testing::ExitedWithCode(1),
+                    "--jobs expects comma-separated counts")
+            << value;
+    }
+}
+
 TEST(CommandLine, SwitchFollowedByFlag)
 {
     const auto cli = parse({"--full", "--n", "3"}, {"full", "n"});
